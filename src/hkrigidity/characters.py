@@ -14,7 +14,7 @@ n^5 characters when enumerating symmetry orbits.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -89,10 +89,6 @@ class Character:
         """Loop value on the line indexed by p, as a residue in [0,n)."""
         form = LOOP_FORMS[make_pair(*p)]
         return sum(c * x for c, x in zip(form, self.a)) % self.n
-
-
-def loop_value(psi, p):
-    return psi.loop(p)
 
 
 # case id -> (sorted multiset of point excesses / n, exceptional total / n);
@@ -273,8 +269,19 @@ def orbit_representatives(n, chunk=200_000):
     return out
 
 
-def orbit_count(n):
-    return len(orbit_representatives(n))
+def weighted_characters(n, orbits=True, residues=None):
+    """Every character of (Z/n)^5 once, as (Character, weight) pairs.
+
+    With orbits, one representative per symmetry orbit weighted by the
+    orbit size (a list, so its length is the orbit count); otherwise each
+    character with weight 1 in ascending order, restricted to the leading
+    residues in `residues` when given.
+    """
+    if orbits:
+        return orbit_representatives(n)
+    leading = range(n) if residues is None else residues
+    return ((Character(n, (a1,) + rest), 1)
+            for a1 in leading for rest in product(range(n), repeat=4))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from itertools import product
 
 from . import cb_arrangements as cb
 from . import replay as replay_mod
 from . import reports
-from .characters import Character, geometry_of, rank_exception_classify
+from .characters import geometry_of, rank_exception_classify, weighted_characters
 from .invariants import (
     character_invariant_suite,
     chi_crosscheck,
@@ -26,8 +25,13 @@ from .invariants import (
     rigidity_report,
 )
 from .picard import verify_dependencies
-from .registry import default_registry, default_registry_text, load_path
+from .registry import default_registry, default_registry_text, loads
 from .vanishing import ProofEngine, problem_of
+
+# Largest exponent rigidity and checks accept.  Orbit enumeration holds one
+# int64 per character, 8 * n^5 bytes (about 0.8 GB at n = 40), so a larger n
+# is refused before anything is allocated.
+MAX_EXPONENT = 40
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +53,14 @@ def _parse_range(text: str):
     return list(range(lo, hi + 1))
 
 
-def _resolve_ns(parser, args, minimum=2):
+def _check_bounds(parser, ns, minimum, maximum=None):
+    if ns[0] < minimum:
+        parser.error(f"exponent must be at least {minimum}")
+    if maximum is not None and ns[-1] > maximum:
+        parser.error(f"exponent must be at most {maximum}")
+
+
+def _resolve_ns(parser, args, minimum=2, maximum=None):
     if args.n is not None and args.n_range is not None:
         parser.error("--n and --n-range are mutually exclusive")
     if args.n is not None:
@@ -61,8 +72,7 @@ def _resolve_ns(parser, args, minimum=2):
             parser.error(str(exc))
     else:
         parser.error("one of --n or --n-range is required")
-    if ns[0] < minimum:
-        parser.error(f"exponent must be at least {minimum}")
+    _check_bounds(parser, ns, minimum, maximum)
     return ns
 
 
@@ -93,12 +103,6 @@ def build_parser() -> _Parser:
     rig.add_argument(
         "--registry", default=None, metavar="PATH", help="alternate axiom registry"
     )
-    rig.add_argument(
-        "--max-superset",
-        type=int,
-        default=2,
-        help="pole-enlargement budget in the prover",
-    )
     rig.add_argument("--csv", action="store_true", help="emit the tally as CSV")
 
     inv = subs.add_parser("invariants", help="closed-form surface invariants")
@@ -121,15 +125,13 @@ def build_parser() -> _Parser:
 
 
 def _cmd_rigidity(parser, args) -> int:
-    ns = _resolve_ns(parser, args)
+    ns = _resolve_ns(parser, args, maximum=MAX_EXPONENT)
     if args.jobs < 1:
         parser.error("--jobs must be positive")
-    if args.max_superset < 0:
-        parser.error("--max-superset must be nonnegative")
     if args.registry is not None:
-        registry = load_path(args.registry)
         with open(args.registry, "r", encoding="utf-8") as handle:
             registry_text = handle.read()
+        registry = loads(registry_text)
     else:
         registry, registry_text = default_registry(), default_registry_text()
 
@@ -142,7 +144,6 @@ def _cmd_rigidity(parser, args) -> int:
             registry,
             orbit_mode=not args.full,
             jobs=args.jobs,
-            depth_limit=args.max_superset,
             registry_text=registry_text,
         )
         print(
@@ -183,8 +184,7 @@ def _cmd_invariants(parser, args) -> int:
 
 def _rank_exception_sweep(n: int) -> tuple:
     checked = failures = 0
-    for digits in product(range(n), repeat=5):
-        psi = Character(n, digits)
+    for psi, _ in weighted_characters(n, orbits=False):
         if psi.is_zero:
             continue
         exc = rank_exception_classify(psi)
@@ -202,6 +202,7 @@ def _cmd_checks(parser, args) -> int:
         ns = _parse_range(args.n_range)
     except ValueError as exc:
         parser.error(str(exc))
+    _check_bounds(parser, ns, 3, MAX_EXPONENT)
 
     results = []
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional
 
 from .characters import (
@@ -22,13 +22,22 @@ from .characters import (
     InternalInconsistencyError,
     geometry_of,
     orbit_representatives,
+    weighted_characters,
 )
-from .picard import PAIRS, ZERO, overlap_intersection
-from .registry import Registry, default_registry, default_registry_text, digest, dumps
+from .picard import PAIRS, ZERO, class_of, make_pair, overlap_intersection
+from .registry import (
+    Registry,
+    default_registry,
+    default_registry_text,
+    digest,
+    dumps,
+    loads,
+)
 from .vanishing import (
     ProofEngine,
     VanishingProblem,
     canonical_problem,
+    certificate_chain,
     chi_log,
     problem_of,
     rules_used,
@@ -96,16 +105,10 @@ def euler_by_stratification(n: int) -> int:
 
 def chi_theta_character_sum(n: int, orbits: bool = True) -> int:
     """Sum of chi over the twisted log problems of all n^5 characters."""
-    if orbits:
-        total = 0
-        for psi, size in orbit_representatives(n):
-            prob = problem_of(psi)
-            total += size * chi_log(prob.logset, prob.twist)
-        return total
     total = 0
-    for digits in product(range(n), repeat=5):
-        prob = problem_of(Character(n, digits))
-        total += chi_log(prob.logset, prob.twist)
+    for psi, weight in weighted_characters(n, orbits):
+        prob = problem_of(psi)
+        total += weight * chi_log(prob.logset, prob.twist)
     return total
 
 
@@ -124,13 +127,10 @@ def character_invariant_suite(n: int) -> tuple:
     from the loop values; and a double excess forces a pole on the matching
     exceptional curve.
     """
-    from .characters import loop_value
-    from .picard import class_of, make_pair
-
     failures = []
     checked = 0
-    for digits in product(range(n), repeat=5):
-        psi = Character(n, digits)
+    for psi, _ in weighted_characters(n, orbits=False):
+        digits = psi.a
         checked += 1
         geo = geometry_of(psi)
         F, S = geo.quad_total, geo.exc_total
@@ -142,12 +142,12 @@ def character_invariant_suite(n: int) -> tuple:
             failures.append(f"{digits}: exceptional total {S} unbalanced")
         recon = ZERO
         for p in PAIRS:
-            recon = recon + loop_value(psi, p) * class_of(p)
+            recon = recon + psi.loop(p) * class_of(p)
         target = n * geo.eigenclass
         if recon != target:
             failures.append(f"{digits}: reconstruction {recon} != {target}")
         for i, lam in enumerate(geo.point_excess, start=1):
-            if lam == 2 * n and loop_value(psi, make_pair(i, 5)) == n - 1:
+            if lam == 2 * n and psi.loop(make_pair(i, 5)) == n - 1:
                 failures.append(f"{digits}: double excess without pole at {i}")
     return checked, tuple(failures)
 
@@ -210,9 +210,9 @@ class _Accumulator:
     def add(self, prob: VanishingProblem, cert, weight: int, psi: Character) -> None:
         self.tally[cert.kind] += weight
         self.rules |= rules_used(cert)
-        self.chi_sum += weight * chi_log(prob.logset, prob.twist, prob.blowups)
-        for rid in _axiom_ids(cert):
-            self.axioms.add(rid)
+        self.chi_sum += weight * chi_log(prob.logset, prob.twist)
+        self.axioms.update(node.registry_id for node in certificate_chain(cert)
+                           if node.kind == "registry")
         if cert.kind == "unresolved":
             self.unresolved.add((cert.canonical_logset, cert.canonical_twist))
         elif cert.kind == "nonvanishing":
@@ -242,39 +242,17 @@ class _Accumulator:
                     mine[3] = entry[3]
 
 
-def _axiom_ids(cert) -> list:
-    out = []
-    node = cert
-    while node is not None:
-        if node.kind == "registry":
-            out.append(node.registry_id)
-        node = getattr(node, "inner", None)
-    return out
-
-
-def _sweep_orbits(n: int, engine: ProofEngine, acc: _Accumulator) -> int:
-    reps = orbit_representatives(n)
-    for psi, size in reps:
+def _sweep(engine: ProofEngine, acc: _Accumulator, characters) -> None:
+    for psi, weight in characters:
         prob = problem_of(psi)
-        acc.add(prob, engine.prove(prob), size, psi)
-    return len(reps)
-
-
-def _sweep_full(n: int, engine: ProofEngine, acc: _Accumulator, residues) -> None:
-    for a1 in residues:
-        for rest in product(range(n), repeat=4):
-            psi = Character(n, (a1,) + rest)
-            prob = problem_of(psi)
-            acc.add(prob, engine.prove(prob), 1, psi)
+        acc.add(prob, engine.prove(prob), weight, psi)
 
 
 def _full_worker(args):
-    n, residues, registry_text, depth_limit = args
-    from .registry import loads
-
-    engine = ProofEngine(registry=loads(registry_text), depth_limit=depth_limit)
+    n, residues, registry_text = args
     acc = _Accumulator()
-    _sweep_full(n, engine, acc, residues)
+    _sweep(ProofEngine(loads(registry_text)), acc,
+           weighted_characters(n, orbits=False, residues=residues))
     return acc
 
 
@@ -284,7 +262,6 @@ def rigidity_report(
     *,
     orbit_mode: bool = True,
     jobs: int = 1,
-    depth_limit: int = 2,
     registry_text: Optional[str] = None,
 ) -> RigidityReport:
     """Certify every character of (Z/n)^5 and assemble the summary report.
@@ -292,8 +269,8 @@ def rigidity_report(
     Orbit mode proves one problem per symmetry orbit and weights by orbit
     size; full mode proves all n^5 characters individually.  Both modes must
     produce identical aggregates.  jobs > 1 splits full mode by the leading
-    character digit; merging is commutative so the worker count cannot
-    change the report.
+    character digit over min(jobs, n) processes; merging is commutative so
+    the worker count cannot change the report.
     """
     if registry is None:
         registry_text = default_registry_text()
@@ -302,23 +279,16 @@ def rigidity_report(
         registry_text = dumps(registry)
 
     acc = _Accumulator()
-    if orbit_mode:
-        orbit_count = _sweep_orbits(n, ProofEngine(registry, depth_limit=depth_limit), acc)
-        mode = "orbits"
+    characters = weighted_characters(n, orbit_mode)
+    orbit_count = len(characters) if orbit_mode else len(orbit_representatives(n))
+    workers = 1 if orbit_mode else min(jobs, n)
+    if workers > 1:
+        splits = [(n, range(n)[k::workers], registry_text) for k in range(workers)]
+        with multiprocessing.Pool(workers) as pool:
+            for part in pool.map(_full_worker, splits):
+                acc.merge(part)
     else:
-        orbit_count = len(orbit_representatives(n))
-        mode = "full"
-        if jobs > 1:
-            splits = [
-                (n, list(range(n))[k::jobs], registry_text, depth_limit)
-                for k in range(jobs)
-            ]
-            with multiprocessing.Pool(jobs) as pool:
-                for part in pool.map(_full_worker, splits):
-                    acc.merge(part)
-        else:
-            engine = ProofEngine(registry, depth_limit=depth_limit)
-            _sweep_full(n, engine, acc, range(n))
+        _sweep(ProofEngine(registry), acc, characters)
 
     tally = {k: acc.tally.get(k, 0) for k in _TALLY_KEYS}
     if sum(tally.values()) != n**5:
@@ -345,7 +315,7 @@ def rigidity_report(
     )
     return RigidityReport(
         n=n,
-        mode=mode,
+        mode="orbits" if orbit_mode else "full",
         total_characters=n**5,
         orbit_count=orbit_count,
         tally=tally,

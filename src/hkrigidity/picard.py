@@ -25,11 +25,9 @@ from itertools import combinations, permutations
 Pair = tuple  # (i, j) with 1 <= i < j <= 5
 
 PAIRS: tuple = tuple(combinations(range(1, 6), 2))
-PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 
 # Permutations of {1..5} in one-line notation: t[i-1] is the image of i.
 PERMS: tuple = tuple(permutations(range(1, 6)))
-IDENTITY = (1, 2, 3, 4, 5)
 
 
 def make_pair(i, j):
@@ -187,17 +185,13 @@ def map_pair(t, p):
     return make_pair(t[p[0] - 1], t[p[1] - 1])
 
 
-def _matmul(a, b):
-    return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(5)) for c in range(5))
-                 for r in range(5))
-
-
 def _apply_matrix(m, cls):
     v = cls.as_tuple()
     w = tuple(sum(m[r][c] * v[c] for c in range(5)) for r in range(5))
     return DivisorClass.from_tuple(w)
 
 
+@lru_cache(maxsize=None)
 def _matrix_from_line_images(t):
     """Lattice matrix of a permutation, solved from the ten line images.
 
@@ -215,47 +209,9 @@ def _matrix_from_line_images(t):
     return m
 
 
-_ADJACENT = ((2, 1, 3, 4, 5), (1, 3, 2, 4, 5), (1, 2, 4, 3, 5), (1, 2, 3, 5, 4))
-
-
-def _adjacent_factors(t):
-    """Write t as a composition of adjacent transpositions (bubble sort)."""
-    line = list(t)
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(4):
-            if line[i] > line[i + 1]:
-                line[i], line[i + 1] = line[i + 1], line[i]
-                swaps.append(i)
-                changed = True
-    # Swapping one-line slots i, i+1 is right-composition with s_i, so the
-    # sort says t o s_{i_1} o ... o s_{i_m} = id, i.e. t = s_{i_m} o ... o s_{i_1}.
-    # Left-multiplying matrices in recorded order therefore rebuilds t.
-    return swaps
-
-
-@lru_cache(maxsize=None)
-def _transform_matrix(t):
-    m = tuple(tuple(1 if r == c else 0 for c in range(5)) for r in range(5))
-    for i in _adjacent_factors(t):
-        m = _matmul(_adjacent_matrix(i), m)
-    # Defensive: the composed matrix must permute the line classes correctly.
-    for p in PAIRS:
-        if _apply_matrix(m, class_of(p)) != class_of(map_pair(t, p)):
-            raise RuntimeError(f"composed lattice matrix wrong for {t}")
-    return m
-
-
-@lru_cache(maxsize=None)
-def _adjacent_matrix(i):
-    return _matrix_from_line_images(_ADJACENT[i])
-
-
 def s5_transform(t, cls):
     """Lattice automorphism induced by a permutation of the five indices."""
-    return _apply_matrix(_transform_matrix(tuple(t)), cls)
+    return _apply_matrix(_matrix_from_line_images(tuple(t)), cls)
 
 
 # ---------------------------------------------------------------------------

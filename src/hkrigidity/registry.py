@@ -146,7 +146,7 @@ def digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def derive(n=5, depth_limit=2):
+def derive(n=5):
     """Regenerate the registry from scratch at the given exponent.
 
     Runs the full pipeline with no registry over one representative per
@@ -154,7 +154,7 @@ def derive(n=5, depth_limit=2):
     exponent 5 each of these is covered by ball-quotient rigidity.  A
     non-vanishing verdict at the derivation exponent would contradict
     that theorem, so it raises."""
-    engine = ProofEngine(registry=None, depth_limit=depth_limit)
+    engine = ProofEngine(registry=None)
     keys = set()
     for psi, _size in orbit_representatives(n):
         cert = engine.prove(problem_of(psi))

@@ -147,7 +147,7 @@ def _replay(problem, cert, table, registry):
             if form_product(line_vector(p), twist) != -1:
                 return _fail(f"removed line {p} does not meet the twist in -1")
         reduced = VanishingProblem(problem.logset - removed, problem.twist,
-                                   problem.h2_zero, problem.blowups)
+                                   problem.h2_zero)
         return _replay(reduced, cert.inner, table, registry)
 
     if isinstance(cert, SupersetTransfer):
@@ -159,7 +159,7 @@ def _replay(problem, cert, table, registry):
         if slack != cert.slack or slack > 0:
             return _fail(f"slack recomputed {slack}, certificate {cert.slack}")
         enlarged = VanishingProblem(problem.logset | added, problem.twist,
-                                    problem.h2_zero, problem.blowups)
+                                    problem.h2_zero)
         return _replay(enlarged, cert.inner, table, registry)
 
     if isinstance(cert, ExternalAxiom):

@@ -30,12 +30,18 @@ from .picard import (
     DivisorClass,
     class_of,
     invert,
+    make_pair,
     map_pair,
     pairing,
     rank_of,
     s5_transform,
 )
 from .characters import geometry_of
+
+# Most lines superset transfers may add to a problem, summed over nested
+# transfers.  No certificate for n = 3..12 uses a transfer at all, so a
+# larger budget would only lengthen the search.
+SUPERSET_DEPTH = 2
 
 
 class MalformedWitnessError(ValueError):
@@ -50,13 +56,14 @@ class TransferInvalidError(ValueError):
 class VanishingProblem:
     """Log-pole line set plus twist class; h2_zero records the axiom that
     the sheaf has no second cohomology (true for all problems derived
-    from covering characters with exponent at least 3).  blowups is the
-    number of blown-up points of the underlying surface."""
+    from covering characters with exponent at least 3).  The class
+    constant blowups is the number of blown-up points of the surface."""
 
     logset: frozenset
     twist: DivisorClass
     h2_zero: bool = True
-    blowups: int = 4
+
+    blowups = 4
 
     def sorted_lines(self):
         return tuple(sorted(self.logset))
@@ -69,9 +76,9 @@ def problem_of(psi):
     return VanishingProblem(logset=g.logset, twist=g.twist, h2_zero=psi.n >= 3)
 
 
-def chi_log(logset, twist, blowups=4):
+def chi_log(logset, twist):
     """Euler characteristic of the twisted log 1-form sheaf."""
-    total = pairing(twist, twist) - (blowups + 1)
+    total = pairing(twist, twist) - (VanishingProblem.blowups + 1)
     for p in logset:
         total += 1 + pairing(class_of(p), twist)
     return total
@@ -137,13 +144,16 @@ def certifies_vanishing(cert):
     return False
 
 
+def certificate_chain(cert):
+    """A certificate followed by each nested `.inner` certificate."""
+    while cert is not None:
+        yield cert
+        cert = getattr(cert, "inner", None)
+
+
 def rules_used(cert):
     """Set of rule kinds appearing anywhere in a certificate tree."""
-    out = {cert.kind}
-    inner = getattr(cert, "inner", None)
-    if inner is not None:
-        out |= rules_used(inner)
-    return out
+    return {node.kind for node in certificate_chain(cert)}
 
 
 def transport_certificate(cert, t):
@@ -195,8 +205,8 @@ def gvt_check(prob, a_lines, b_lines):
     """Evaluate the vanishing-criterion conditions for a decomposition
     twist = (sum of A) - (sum of B).  Structural violations raise; the
     four conditions are reported individually."""
-    aset = frozenset(make_normal(p) for p in a_lines)
-    bset = frozenset(make_normal(p) for p in b_lines)
+    aset = frozenset(make_pair(*p) for p in a_lines)
+    bset = frozenset(make_pair(*p) for p in b_lines)
     if len(aset) != len(tuple(a_lines)) or len(bset) != len(tuple(b_lines)):
         raise MalformedWitnessError("repeated lines in witness")
     if aset & bset:
@@ -231,11 +241,6 @@ def gvt_check(prob, a_lines, b_lines):
                      positivity_ok=cond3, rank_ok=rank_value >= rank_bound,
                      rank_value=rank_value, rank_bound=rank_bound,
                      correction=correction)
-
-
-def make_normal(p):
-    i, j = p
-    return (i, j) if i < j else (j, i)
 
 
 def _class_sum(pairs):
@@ -299,7 +304,7 @@ def drop_reduce(prob):
     if not removed:
         return prob, ()
     reduced = VanishingProblem(prob.logset - set(removed), prob.twist,
-                               prob.h2_zero, prob.blowups)
+                               prob.h2_zero)
     return reduced, removed
 
 
@@ -310,7 +315,7 @@ def superset_transfer(prob, added, inner):
     Valid when each added line keeps the Euler characteristic from
     growing: h^1(T) <= h^0(T union added) - chi(T) = chi difference <= 0.
     """
-    added = tuple(sorted(make_normal(p) for p in added))
+    added = tuple(sorted(make_pair(*p) for p in added))
     if len(set(added)) != len(added) or set(added) & prob.logset:
         raise MalformedWitnessError("added lines must be new and distinct")
     if not certifies_vanishing(inner):
@@ -349,32 +354,31 @@ class ProofEngine:
     Stage order per problem: forced non-vanishing when the Euler
     characteristic is negative (with the h^2 axiom), then pole dropping,
     then the direct witness search, then the axiom registry keyed on the
-    canonical form, then superset transfers up to the depth limit.
+    canonical form, then superset transfers adding at most SUPERSET_DEPTH
+    lines.
 
     Results are memoized per problem and shared across the symmetry
     orbit by transporting certificates; only top-level results enter the
     memo, so recursion guards cannot poison it.
     """
 
-    def __init__(self, registry=None, depth_limit=2):
+    def __init__(self, registry=None):
         self.registry = registry
-        self.depth_limit = depth_limit
         self._memo = {}
         self._canon_memo = {}
 
     def prove(self, prob):
-        key = (tuple(sorted(prob.logset)), prob.twist.as_tuple(),
-               prob.h2_zero, prob.blowups)
+        key = (tuple(sorted(prob.logset)), prob.twist.as_tuple(), prob.h2_zero)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         ckey, to_canon = canonical_problem(prob.logset, prob.twist)
-        ckey = ckey + (prob.h2_zero, prob.blowups)
+        ckey = ckey + (prob.h2_zero,)
         canon_cert = self._canon_memo.get(ckey)
         if canon_cert is not None:
             cert = transport_certificate(canon_cert, invert(to_canon))
         else:
-            cert = self._solve(prob, self.depth_limit, frozenset())
+            cert = self._solve(prob, SUPERSET_DEPTH, frozenset())
             self._canon_memo[ckey] = transport_certificate(cert, to_canon)
         self._memo[key] = cert
         return cert
@@ -383,7 +387,7 @@ class ProofEngine:
         return self.prove(problem_of(psi))
 
     def _solve(self, prob, budget, active):
-        chi = chi_log(prob.logset, prob.twist, prob.blowups)
+        chi = chi_log(prob.logset, prob.twist)
         if chi < 0 and prob.h2_zero:
             return NonVanishing(chi, -chi)
 
@@ -414,11 +418,9 @@ class ProofEngine:
             for size in range(1, min(budget, len(candidates)) + 1):
                 for added in combinations(candidates, size):
                     big = VanishingProblem(prob.logset | set(added), prob.twist,
-                                           prob.h2_zero, prob.blowups)
+                                           prob.h2_zero)
                     inner = self._solve(big, budget - size, active)
                     if certifies_vanishing(inner):
-                        slack = sum(1 + pairing(class_of(p), prob.twist)
-                                    for p in added)
-                        return SupersetTransfer(tuple(added), inner, slack)
+                        return superset_transfer(prob, added, inner)
 
         return Unresolved(*ckey)

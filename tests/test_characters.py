@@ -7,7 +7,6 @@ from hkrigidity.characters import (
     CASE_TRIVIAL,
     Character,
     geometry_of,
-    loop_value,
     orbit_representatives,
     rank_exception_classify,
     s5_act,
@@ -57,7 +56,7 @@ def test_loop_table():
 def test_zero_character_loops():
     psi = Character(7, (0, 0, 0, 0, 0))
     for p in PAIRS:
-        assert loop_value(psi, p) == 0
+        assert psi.loop(p) == 0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -4,11 +4,13 @@ All invocations go through main(argv) in-process; stdout must be
 deterministic (timings are stderr-only).
 """
 
+import hashlib
 import json
 
 import pytest
 
-from hkrigidity.cli import main
+from hkrigidity import characters, invariants
+from hkrigidity.cli import MAX_EXPONENT, main
 from hkrigidity.registry import default_registry_text
 
 
@@ -84,7 +86,11 @@ class TestRigidity:
             capsys, ["rigidity", "--n", "4", "--registry", str(target), "--json"]
         )
         assert code == 0
-        assert json.loads(out)["rigid"] is True
+        payload = json.loads(out)
+        assert payload["rigid"] is True
+        text = target.read_text(encoding="utf-8")
+        expected = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert payload["registry_digest"] == expected
 
 
 class TestUsageErrors:
@@ -106,6 +112,30 @@ class TestUsageErrors:
     def test_exponent_below_minimum(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["rigidity", "--n", "1"])
+        assert err.value.code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rigidity", "--n", "1000"],
+            ["rigidity", "--n-range", f"4..{MAX_EXPONENT + 1}", "--full"],
+            ["checks", "--n-range", "4..1000"],
+        ],
+    )
+    def test_huge_exponent_refused_before_enumeration(self, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("orbit enumeration started")
+
+        monkeypatch.setattr(characters, "orbit_representatives", refuse)
+        monkeypatch.setattr(invariants, "orbit_representatives", refuse)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 3
+
+    @pytest.mark.parametrize("span", ["1..1", "2..2"])
+    def test_checks_exponent_below_minimum(self, capsys, span):
+        with pytest.raises(SystemExit) as err:
+            main(["checks", "--n-range", span])
         assert err.value.code == 3
 
     def test_bad_range_syntax(self, capsys):

@@ -26,6 +26,7 @@ from hkrigidity.vanishing import (
     Unresolved,
     VanishingProblem,
     canonical_problem,
+    certificate_chain,
     certifies_vanishing,
     chi_log,
     drop_reduce,
@@ -262,7 +263,8 @@ class TestEngine:
         used = set()
         for psi, _ in orbit_representatives(5):
             cert = engine.prove_character(psi)
-            used |= {r for r in _axiom_ids(cert)}
+            used |= {node.registry_id for node in certificate_chain(cert)
+                     if node.kind == "registry"}
         assert used == {"axiom-01", "axiom-02"}
 
     def test_without_registry_two_problem_kinds_stay_open(self):
@@ -315,16 +317,6 @@ class TestEngine:
         engine = ProofEngine(default_registry())
         cert = engine.prove_character(Character(4, (0, 0, 0, 0, 0)))
         assert rules_used(cert) == {"drop", "registry"}
-
-
-def _axiom_ids(cert):
-    out = []
-    node = cert
-    while node is not None:
-        if node.kind == "registry":
-            out.append(node.registry_id)
-        node = getattr(node, "inner", None)
-    return out
 
 
 class TestEquivariance:
