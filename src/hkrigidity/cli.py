@@ -16,7 +16,12 @@ import time
 from . import cb_arrangements as cb
 from . import replay as replay_mod
 from . import reports
-from .characters import geometry_of, rank_exception_classify, weighted_characters
+from .characters import (
+    geometry_of,
+    orbit_representatives,
+    rank_exception_classify,
+    weighted_characters,
+)
 from .invariants import (
     character_invariant_suite,
     chi_crosscheck,
@@ -25,7 +30,12 @@ from .invariants import (
     rigidity_report,
 )
 from .picard import verify_dependencies
-from .registry import default_registry, default_registry_text, loads
+from .registry import (
+    RegistryFormatError,
+    default_registry,
+    default_registry_text,
+    loads,
+)
 from .vanishing import ProofEngine, problem_of
 
 # Largest exponent rigidity and checks accept.  Orbit enumeration holds one
@@ -129,9 +139,12 @@ def _cmd_rigidity(parser, args) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be positive")
     if args.registry is not None:
-        with open(args.registry, "r", encoding="utf-8") as handle:
-            registry_text = handle.read()
-        registry = loads(registry_text)
+        try:
+            with open(args.registry, "r", encoding="utf-8") as handle:
+                registry_text = handle.read()
+            registry = loads(registry_text)
+        except (OSError, UnicodeDecodeError, RegistryFormatError) as exc:
+            parser.error(f"--registry {args.registry}: {exc}")
     else:
         registry, registry_text = default_registry(), default_registry_text()
 
@@ -261,8 +274,6 @@ def _cmd_checks(parser, args) -> int:
     registry = default_registry()
     engine = ProofEngine(registry)
     replayed = failed = 0
-    from .characters import orbit_representatives
-
     for psi, _ in orbit_representatives(min(ns)):
         prob = problem_of(psi)
         cert = engine.prove(prob)

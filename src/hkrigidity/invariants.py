@@ -6,7 +6,8 @@ arrangement on the degree-5 del Pezzo surface together with the group
 can be assembled from an Euler-number stratification of the arrangement
 complement and from the character-by-character Euler characteristics of the
 twisted logarithmic sheaves.  This module computes all three routes and cross
-checks them, and drives the full per-character certification sweep.
+checks them, and drives the certification sweep, which proves each distinct
+problem of the n^5 characters once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from itertools import combinations
 from typing import Optional
 
 from .characters import (
-    Character,
     InternalInconsistencyError,
     geometry_of,
     orbit_representatives,
@@ -31,11 +31,9 @@ from .registry import (
     default_registry_text,
     digest,
     dumps,
-    loads,
 )
 from .vanishing import (
     ProofEngine,
-    VanishingProblem,
     canonical_problem,
     certificate_chain,
     chi_log,
@@ -103,13 +101,26 @@ def euler_by_stratification(n: int) -> int:
     return e_complement * n**5 + e_lines_open * n**4 + nodes * n**3
 
 
+def problem_histogram(characters) -> dict:
+    """Map each distinct problem of (Character, weight) pairs to [total
+    weight, least character].  The pairs come in ascending order, so the
+    first character seen for a problem is its least."""
+    hist: dict = {}
+    for psi, weight in characters:
+        prob = problem_of(psi)
+        entry = hist.get(prob)
+        if entry is None:
+            hist[prob] = [weight, psi]
+        else:
+            entry[0] += weight
+    return hist
+
+
 def chi_theta_character_sum(n: int, orbits: bool = True) -> int:
     """Sum of chi over the twisted log problems of all n^5 characters."""
-    total = 0
-    for psi, weight in weighted_characters(n, orbits):
-        prob = problem_of(psi)
-        total += weight * chi_log(prob.logset, prob.twist)
-    return total
+    hist = problem_histogram(weighted_characters(n, orbits))
+    return sum(weight * chi_log(prob.logset, prob.twist)
+               for prob, (weight, _) in hist.items())
 
 
 def chi_crosscheck(n: int, orbits: bool = True) -> bool:
@@ -196,64 +207,9 @@ class RigidityReport:
 _TALLY_KEYS = ("gvt", "drop", "superset", "registry", "nonvanishing", "unresolved")
 
 
-class _Accumulator:
-    """Commutative aggregation of per-problem certificates."""
-
-    def __init__(self) -> None:
-        self.tally: Counter = Counter()
-        self.unresolved: set = set()
-        self.axioms: set = set()
-        self.rules: set = set()
-        self.chi_sum = 0
-        self.nonvan: dict = {}
-
-    def add(self, prob: VanishingProblem, cert, weight: int, psi: Character) -> None:
-        self.tally[cert.kind] += weight
-        self.rules |= rules_used(cert)
-        self.chi_sum += weight * chi_log(prob.logset, prob.twist)
-        self.axioms.update(node.registry_id for node in certificate_chain(cert)
-                           if node.kind == "registry")
-        if cert.kind == "unresolved":
-            self.unresolved.add((cert.canonical_logset, cert.canonical_twist))
-        elif cert.kind == "nonvanishing":
-            key, _ = canonical_problem(prob.logset, prob.twist)
-            entry = self.nonvan.get(key)
-            digits = psi.a
-            if entry is None:
-                self.nonvan[key] = [cert.chi, cert.h1_lower_bound, weight, digits]
-            else:
-                entry[2] += weight
-                if digits < entry[3]:
-                    entry[3] = digits
-
-    def merge(self, other: "_Accumulator") -> None:
-        self.tally.update(other.tally)
-        self.unresolved |= other.unresolved
-        self.axioms |= other.axioms
-        self.rules |= other.rules
-        self.chi_sum += other.chi_sum
-        for key, entry in other.nonvan.items():
-            mine = self.nonvan.get(key)
-            if mine is None:
-                self.nonvan[key] = list(entry)
-            else:
-                mine[2] += entry[2]
-                if entry[3] < mine[3]:
-                    mine[3] = entry[3]
-
-
-def _sweep(engine: ProofEngine, acc: _Accumulator, characters) -> None:
-    for psi, weight in characters:
-        prob = problem_of(psi)
-        acc.add(prob, engine.prove(prob), weight, psi)
-
-
 def _full_worker(args):
-    n, residues, registry_text = args
-    acc = _Accumulator()
-    _sweep(ProofEngine(loads(registry_text)), acc,
-           weighted_characters(n, orbits=False, residues=residues))
-    return acc
+    n, residues = args
+    return problem_histogram(weighted_characters(n, orbits=False, residues=residues))
 
 
 def rigidity_report(
@@ -266,11 +222,14 @@ def rigidity_report(
 ) -> RigidityReport:
     """Certify every character of (Z/n)^5 and assemble the summary report.
 
-    Orbit mode proves one problem per symmetry orbit and weights by orbit
-    size; full mode proves all n^5 characters individually.  Both modes must
-    produce identical aggregates.  jobs > 1 splits full mode by the leading
-    character digit over min(jobs, n) processes; merging is commutative so
-    the worker count cannot change the report.
+    Each character's problem is computed, and each distinct problem is
+    proven once and weighted by its character count.  Orbit mode computes
+    one problem per symmetry orbit, weighted by orbit size; full mode
+    computes the problem of every one of the n^5 characters.  Both modes
+    must produce identical aggregates.  jobs > 1 splits full mode's problem
+    computation by the leading character digit over min(jobs, n) processes;
+    merging histograms is commutative so the worker count cannot change the
+    report.
     """
     if registry is None:
         registry_text = default_registry_text()
@@ -278,19 +237,43 @@ def rigidity_report(
     elif registry_text is None:
         registry_text = dumps(registry)
 
-    acc = _Accumulator()
     characters = weighted_characters(n, orbit_mode)
     orbit_count = len(characters) if orbit_mode else len(orbit_representatives(n))
     workers = 1 if orbit_mode else min(jobs, n)
     if workers > 1:
-        splits = [(n, range(n)[k::workers], registry_text) for k in range(workers)]
+        hist: dict = {}
+        splits = [(n, range(n)[k::workers]) for k in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             for part in pool.map(_full_worker, splits):
-                acc.merge(part)
+                for prob, (weight, psi) in part.items():
+                    entry = hist.setdefault(prob, [0, psi])
+                    entry[0] += weight
+                    entry[1] = min(entry[1], psi, key=lambda c: c.a)
     else:
-        _sweep(ProofEngine(registry), acc, characters)
+        hist = problem_histogram(characters)
 
-    tally = {k: acc.tally.get(k, 0) for k in _TALLY_KEYS}
+    engine = ProofEngine(registry)
+    counts: Counter = Counter()
+    unresolved, axioms, rules = set(), set(), set()
+    chi_sum = 0
+    obstructed: dict = {}
+    for prob, (weight, psi) in hist.items():
+        cert = engine.prove(prob)
+        counts[cert.kind] += weight
+        rules |= rules_used(cert)
+        chi_sum += weight * chi_log(prob.logset, prob.twist)
+        axioms.update(node.registry_id for node in certificate_chain(cert)
+                      if node.kind == "registry")
+        if cert.kind == "unresolved":
+            unresolved.add((cert.canonical_logset, cert.canonical_twist))
+        elif cert.kind == "nonvanishing":
+            key, _ = canonical_problem(prob.logset, prob.twist)
+            entry = obstructed.setdefault(
+                key, [cert.chi, cert.h1_lower_bound, 0, psi.a])
+            entry[2] += weight
+            entry[3] = min(entry[3], psi.a)
+
+    tally = {k: counts.get(k, 0) for k in _TALLY_KEYS}
     if sum(tally.values()) != n**5:
         raise InternalInconsistencyError(
             f"certificate tally covers {sum(tally.values())} of {n ** 5} characters"
@@ -298,7 +281,7 @@ def rigidity_report(
     inv = closed_form(n)
     euler_strat = euler_by_stratification(n)
     crosscheck = (
-        acc.chi_sum == inv.chi_theta
+        chi_sum == inv.chi_theta
         and euler_strat == inv.euler
         and (inv.K2 + inv.euler) % 12 == 0
     )
@@ -311,7 +294,7 @@ def rigidity_report(
             characters=entry[2],
             min_character=entry[3],
         )
-        for key, entry in sorted(acc.nonvan.items())
+        for key, entry in sorted(obstructed.items())
     )
     return RigidityReport(
         n=n,
@@ -320,13 +303,13 @@ def rigidity_report(
         orbit_count=orbit_count,
         tally=tally,
         rigid=tally["nonvanishing"] == 0 and tally["unresolved"] == 0,
-        unresolved_keys=tuple(sorted(acc.unresolved)),
+        unresolved_keys=tuple(sorted(unresolved)),
         nonvanishing=nonvan,
-        axiom_ids=tuple(sorted(acc.axioms)),
-        rules=tuple(sorted(acc.rules)),
+        axiom_ids=tuple(sorted(axioms)),
+        rules=tuple(sorted(rules)),
         invariants=inv,
         euler_stratified=euler_strat,
-        chi_character_sum=acc.chi_sum,
+        chi_character_sum=chi_sum,
         crosscheck_ok=crosscheck,
         registry_digest=digest(registry_text),
     )

@@ -83,6 +83,12 @@ class Registry:
         return self._by_key.get(key)
 
 
+def _is_ints(value, length):
+    """A JSON list of `length` integers (booleans excluded)."""
+    return (isinstance(value, list) and len(value) == length
+            and all(type(x) is int for x in value))
+
+
 def loads(text):
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -101,13 +107,19 @@ def loads(text):
         if len(values) != 4:
             raise RegistryFormatError(f"line {lineno}: missing fields")
         try:
-            logset = tuple(make_pair(i, j) for i, j in json.loads(values["logset"]))
-            twist = DivisorClass.from_tuple(json.loads(values["twist"]))
-        except (ValueError, TypeError) as exc:
+            poles = json.loads(values["logset"])
+            twist = json.loads(values["twist"])
+            if not (_is_ints(twist, 5) and isinstance(poles, list)
+                    and all(_is_ints(p, 2) for p in poles)):
+                raise ValueError("expected a twist of 5 integers and poles "
+                                 "that are pairs of integers")
+            logset = tuple(make_pair(i, j) for i, j in poles)
+        except ValueError as exc:
             raise RegistryFormatError(f"line {lineno}: {exc}") from exc
         if list(logset) != sorted(set(logset)):
             raise RegistryFormatError(f"line {lineno}: pole set not sorted")
-        entries.append(RegistryEntry(values["id"], logset, twist,
+        entries.append(RegistryEntry(values["id"], logset,
+                                     DivisorClass.from_tuple(twist),
                                      values["justification"]))
     if [e.key for e in entries] != sorted(e.key for e in entries):
         raise RegistryFormatError("entries not sorted by (logset, twist)")

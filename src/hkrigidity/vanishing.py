@@ -29,7 +29,6 @@ from .picard import (
     PERMS,
     DivisorClass,
     class_of,
-    invert,
     make_pair,
     map_pair,
     pairing,
@@ -154,21 +153,6 @@ def certificate_chain(cert):
 def rules_used(cert):
     """Set of rule kinds appearing anywhere in a certificate tree."""
     return {node.kind for node in certificate_chain(cert)}
-
-
-def transport_certificate(cert, t):
-    """Rewrite a certificate's line data along a permutation of indices."""
-    def move(lines):
-        return tuple(sorted(map_pair(t, p) for p in lines))
-
-    if isinstance(cert, GvtWitness):
-        return GvtWitness(move(cert.a_lines), move(cert.b_lines))
-    if isinstance(cert, DropLines):
-        return DropLines(move(cert.removed), transport_certificate(cert.inner, t))
-    if isinstance(cert, SupersetTransfer):
-        return SupersetTransfer(move(cert.added),
-                                transport_certificate(cert.inner, t), cert.slack)
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -355,32 +339,22 @@ class ProofEngine:
     characteristic is negative (with the h^2 axiom), then pole dropping,
     then the direct witness search, then the axiom registry keyed on the
     canonical form, then superset transfers adding at most SUPERSET_DEPTH
-    lines.
+    lines.  The canonical form is computed only when the witness search
+    fails; it keys the registry, the recursion guard and the unresolved
+    record.
 
-    Results are memoized per problem and shared across the symmetry
-    orbit by transporting certificates; only top-level results enter the
-    memo, so recursion guards cannot poison it.
+    Results are memoized per exact problem; only top-level results enter
+    the memo, so recursion guards cannot poison it.
     """
 
     def __init__(self, registry=None):
         self.registry = registry
         self._memo = {}
-        self._canon_memo = {}
 
     def prove(self, prob):
-        key = (tuple(sorted(prob.logset)), prob.twist.as_tuple(), prob.h2_zero)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        ckey, to_canon = canonical_problem(prob.logset, prob.twist)
-        ckey = ckey + (prob.h2_zero,)
-        canon_cert = self._canon_memo.get(ckey)
-        if canon_cert is not None:
-            cert = transport_certificate(canon_cert, invert(to_canon))
-        else:
-            cert = self._solve(prob, SUPERSET_DEPTH, frozenset())
-            self._canon_memo[ckey] = transport_certificate(cert, to_canon)
-        self._memo[key] = cert
+        cert = self._memo.get(prob)
+        if cert is None:
+            cert = self._memo[prob] = self._solve(prob, SUPERSET_DEPTH, frozenset())
         return cert
 
     def prove_character(self, psi):
@@ -392,19 +366,23 @@ class ProofEngine:
             return NonVanishing(chi, -chi)
 
         reduced, removed = drop_reduce(prob)
-        ckey, _ = canonical_problem(reduced.logset, reduced.twist)
-        if ckey in active:
-            return Unresolved(*ckey)
-        inner = self._stages(reduced, ckey, budget, active | {ckey})
+        inner = self._stages(reduced, budget, active)
         if removed and certifies_vanishing(inner):
             return DropLines(removed, inner)
         return inner
 
-    def _stages(self, prob, ckey, budget, active):
+    def _stages(self, prob, budget, active):
         found = gvt_search(prob)
         if found:
             a, b = found
             return GvtWitness(tuple(sorted(a)), tuple(sorted(b)))
+
+        # A witness exists for all of a symmetry class or for none of it, so
+        # a problem whose class is already on the stack has no witness either.
+        ckey, _ = canonical_problem(prob.logset, prob.twist)
+        if ckey in active:
+            return Unresolved(*ckey)
+        active = active | {ckey}
 
         if self.registry is not None:
             entry = self.registry.lookup(ckey)

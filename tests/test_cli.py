@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from hkrigidity import characters, invariants
+from hkrigidity import characters, cli, invariants
 from hkrigidity.cli import MAX_EXPONENT, main
 from hkrigidity.registry import default_registry_text
 
@@ -92,6 +92,17 @@ class TestRigidity:
         expected = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert payload["registry_digest"] == expected
 
+    @pytest.mark.parametrize("content", [None, b"garbage\n", b"\xff\xfe\n"],
+                             ids=["missing", "garbage", "not-utf8"])
+    def test_unreadable_registry_is_usage_error(self, capsys, tmp_path, content):
+        target = tmp_path / "axioms.txt"
+        if content is not None:
+            target.write_bytes(content)
+        with pytest.raises(SystemExit) as err:
+            main(["rigidity", "--n", "3", "--registry", str(target)])
+        assert err.value.code == 3
+        assert "--registry" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_missing_exponent(self, capsys):
@@ -128,6 +139,7 @@ class TestUsageErrors:
 
         monkeypatch.setattr(characters, "orbit_representatives", refuse)
         monkeypatch.setattr(invariants, "orbit_representatives", refuse)
+        monkeypatch.setattr(cli, "orbit_representatives", refuse)
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 3

@@ -1,16 +1,21 @@
 """Tests for surface invariants and the whole-surface rigidity report."""
 
+from itertools import product
+
 import pytest
 
+from hkrigidity.characters import Character, weighted_characters
 from hkrigidity.invariants import (
     character_invariant_suite,
     chi_crosscheck,
     chi_theta_character_sum,
     closed_form,
     euler_by_stratification,
+    problem_histogram,
     rigidity_report,
 )
 from hkrigidity.registry import dumps
+from hkrigidity.vanishing import problem_of
 
 
 class TestClosedForms:
@@ -66,6 +71,18 @@ class TestCharacterSums:
     def test_frozen_sums(self):
         assert chi_theta_character_sum(3) == 90
         assert chi_theta_character_sum(5) == 5000
+
+
+class TestProblemHistogram:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_brute_force_count(self, n):
+        expected = {}
+        for a in product(range(n), repeat=5):
+            entry = expected.setdefault(problem_of(Character(n, a)), [0, a])
+            entry[0] += 1
+            entry[1] = min(entry[1], a)
+        hist = problem_histogram(weighted_characters(n, orbits=False))
+        assert {prob: [count, psi.a] for prob, (count, psi) in hist.items()} == expected
 
 
 class TestInvariantSuite:

@@ -101,9 +101,10 @@ def test_loads_rejects_malformed_lines():
     mangled = good.replace("id=axiom-01", "axiom-01", 1)
     with pytest.raises(RegistryFormatError):
         loads(mangled)
-    mangled = good.replace("twist=[-3,1,1,1,1]", "twist=[-3,1,1,1]", 1)
-    with pytest.raises(RegistryFormatError):
-        loads(mangled)
+    for twist in ("[-3,1,1,1]", "[]", "{}", "[1.5,0,0,0,0]"):
+        mangled = good.replace("twist=[-3,1,1,1,1]", f"twist={twist}", 1)
+        with pytest.raises(RegistryFormatError):
+            loads(mangled)
 
 
 def test_loads_rejects_unsorted_entries():

@@ -35,7 +35,6 @@ from hkrigidity.vanishing import (
     problem_of,
     rules_used,
     superset_transfer,
-    transport_certificate,
 )
 
 E1 = class_of((1, 5))
@@ -305,6 +304,25 @@ class TestEngine:
         prob = problem_of(Character(5, (1, 2, 3, 4, 0)))
         assert engine.prove(prob) is engine.prove(prob)
 
+    def test_canonical_form_only_after_failed_search(self, monkeypatch):
+        from hkrigidity import vanishing
+
+        calls = []
+
+        def counting(logset, twist):
+            calls.append(logset)
+            return canonical_problem(logset, twist)
+
+        monkeypatch.setattr(vanishing, "canonical_problem", counting)
+        engine = ProofEngine(default_registry())
+        cert = engine.prove_character(Character(5, (1, 2, 3, 4, 0)))
+        assert certifies_vanishing(cert) and "registry" not in rules_used(cert)
+        assert calls == []
+        cert = engine.prove_character(Character(4, (0, 0, 0, 0, 0)))
+        assert cert.kind == "drop"
+        assert cert.inner == ExternalAxiom(registry_id="axiom-01")
+        assert calls
+
     def test_unresolved_carries_canonical_key(self):
         engine = ProofEngine(registry=None)
         cert = engine.prove_character(Character(4, (0, 0, 0, 0, 0)))
@@ -360,5 +378,7 @@ class TestEquivariance:
                 s5_transform(t, prob.twist),
                 h2_zero=prob.h2_zero,
             )
-            moved_cert = transport_certificate(cert, t)
+            moved_cert = engine.prove(moved_prob)
+            assert moved_cert.kind == cert.kind
+            assert replay(prob, cert, registry=registry).ok
             assert replay(moved_prob, moved_cert, registry=registry).ok
