@@ -309,8 +309,8 @@ def verify_propositions(max_n: int) -> VerificationReport:
     )
     checks.append(PropositionCheck("sequence_recurrences", rec_ok))
 
-    ok = all(census(m).formula_ok and census(m).pair_identity_ok
-             for m in range(0, max_n + 1))
+    ok = all(report.formula_ok and report.pair_identity_ok
+             for report in map(census, range(0, max_n + 1)))
     checks.append(PropositionCheck("census_formulas", ok))
 
     return VerificationReport(checks=tuple(checks))

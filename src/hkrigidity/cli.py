@@ -33,8 +33,7 @@ from .picard import verify_dependencies
 from .registry import (
     RegistryFormatError,
     default_registry,
-    default_registry_text,
-    loads,
+    load_path,
 )
 from .vanishing import ProofEngine, problem_of
 
@@ -140,24 +139,18 @@ def _cmd_rigidity(parser, args) -> int:
         parser.error("--jobs must be positive")
     if args.registry is not None:
         try:
-            with open(args.registry, "r", encoding="utf-8") as handle:
-                registry_text = handle.read()
-            registry = loads(registry_text)
+            registry = load_path(args.registry)
         except (OSError, UnicodeDecodeError, RegistryFormatError) as exc:
             parser.error(f"--registry {args.registry}: {exc}")
     else:
-        registry, registry_text = default_registry(), default_registry_text()
+        registry = default_registry()
 
     outs, payloads = [], []
     worst = 0
     for n in ns:
         t0 = time.perf_counter()
         report = rigidity_report(
-            n,
-            registry,
-            orbit_mode=not args.full,
-            jobs=args.jobs,
-            registry_text=registry_text,
+            n, registry, orbit_mode=not args.full, jobs=args.jobs
         )
         print(
             f"rigidity n={n}: {time.perf_counter() - t0:.2f}s", file=sys.stderr

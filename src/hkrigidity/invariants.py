@@ -25,13 +25,7 @@ from .characters import (
     weighted_characters,
 )
 from .picard import PAIRS, ZERO, class_of, make_pair, overlap_intersection
-from .registry import (
-    Registry,
-    default_registry,
-    default_registry_text,
-    digest,
-    dumps,
-)
+from .registry import Registry, default_registry, digest
 from .vanishing import (
     ProofEngine,
     canonical_problem,
@@ -218,7 +212,6 @@ def rigidity_report(
     *,
     orbit_mode: bool = True,
     jobs: int = 1,
-    registry_text: Optional[str] = None,
 ) -> RigidityReport:
     """Certify every character of (Z/n)^5 and assemble the summary report.
 
@@ -232,10 +225,7 @@ def rigidity_report(
     report.
     """
     if registry is None:
-        registry_text = default_registry_text()
         registry = default_registry()
-    elif registry_text is None:
-        registry_text = dumps(registry)
 
     characters = weighted_characters(n, orbit_mode)
     orbit_count = len(characters) if orbit_mode else len(orbit_representatives(n))
@@ -311,5 +301,5 @@ def rigidity_report(
         euler_stratified=euler_strat,
         chi_character_sum=chi_sum,
         crosscheck_ok=crosscheck,
-        registry_digest=digest(registry_text),
+        registry_digest=digest(registry.text),
     )

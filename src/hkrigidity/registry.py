@@ -58,7 +58,11 @@ class RegistryEntry:
 
 
 class Registry:
-    def __init__(self, entries):
+    """Entries indexed by canonical key, with the text they were read from
+    (their canonical serialization when built from entries directly), so
+    that a digest of `text` always describes this registry."""
+
+    def __init__(self, entries, text=None):
         self.entries = tuple(entries)
         self._by_key = {}
         ids = set()
@@ -74,6 +78,7 @@ class Registry:
                 raise RegistryFormatError(f"duplicate id {entry.id}")
             ids.add(entry.id)
             self._by_key[entry.key] = entry
+        self.text = dumps(self) if text is None else text
 
     def __len__(self):
         return len(self.entries)
@@ -123,7 +128,7 @@ def loads(text):
                                      values["justification"]))
     if [e.key for e in entries] != sorted(e.key for e in entries):
         raise RegistryFormatError("entries not sorted by (logset, twist)")
-    return Registry(entries)
+    return Registry(entries, text)
 
 
 def dumps(registry):

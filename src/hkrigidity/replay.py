@@ -5,11 +5,14 @@ sharing none of its arithmetic: line classes, intersection numbers, Euler
 characteristics and lattice ranks are recomputed from first principles
 here.  Line-by-line intersection numbers flow through an injectable
 table, so a corrupted table (a single flipped entry suffices) makes
-replay fail; `build_table` produces the honest one.
+replay fail; `build_table` produces the honest one, which replay builds
+and validates once and then holds read-only.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 
 from .vanishing import (
     DropLines,
@@ -105,7 +108,7 @@ def _fail(reason):
     return ReplayResult(False, reason)
 
 
-def chi_of(problem, table):
+def chi_of(problem):
     twist = problem.twist.as_tuple()
     total = form_product(twist, twist) - (problem.blowups + 1)
     for p in problem.logset:
@@ -114,19 +117,30 @@ def chi_of(problem, table):
 
 
 def replay(problem, cert, table=None, registry=None):
-    """Re-validate a certificate against its problem from scratch."""
+    """Re-validate a certificate against its problem from scratch.  A
+    caller-supplied table is validated on every call."""
     if table is None:
-        table = build_table()
-    if not validate_table(table):
+        table = _honest_table()
+    elif not validate_table(table):
         return _fail("intersection table fails validation")
     return _replay(problem, cert, table, registry)
+
+
+@cache
+def _honest_table():
+    """The default table, built and validated on first use and read-only
+    from then on."""
+    table = build_table()
+    if not validate_table(table):
+        raise ReplayError("the built intersection table fails validation")
+    return MappingProxyType(table)
 
 
 def _replay(problem, cert, table, registry):
     if isinstance(cert, NonVanishing):
         if not problem.h2_zero:
             return _fail("non-vanishing needs the h2 axiom")
-        chi = chi_of(problem, table)
+        chi = chi_of(problem)
         if chi != cert.chi or chi >= 0:
             return _fail(f"chi mismatch: recomputed {chi}, certificate {cert.chi}")
         if cert.h1_lower_bound != -chi:

@@ -3,26 +3,26 @@ sheaves on the blown-up plane.
 
 The unit of work is a problem (T, twist): T is a set of arrangement lines
 carrying logarithmic poles, the twist is any divisor class.  The engine
-certifies h^1 = 0 through four rules
+certifies h^1 = 0 through three rules
 
   * a direct witness for the general vanishing criterion (a decomposition
     twist = A - B into sums of distinct lines satisfying four integer
     conditions),
   * dropping poles along lines meeting the twist in -1 (cohomology is
     unchanged in both directions),
-  * transfer from a certified superset of poles with nonpositive Euler
-    slack,
-  * an external axiom registry for the residue of problems the search
-    rules cannot close (classical rigidity facts, recorded with their
+  * an external axiom registry for the residue of problems the witness
+    search cannot close (classical rigidity facts, recorded with their
     justification),
 
 or reports forced non-vanishing when the Euler characteristic is negative
-and h^2 vanishes.  Certificates are plain data and replay through an
+and h^2 vanishes.  A fourth certificate form, transfer from a certified
+superset of poles with nonpositive Euler slack, can be built by hand and
+replays, but the engine never searches for one: no problem of any accepted
+exponent needs it.  Certificates are plain data and replay through an
 independent checker; the search is never trusted.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .picard import (
     PAIRS,
@@ -36,11 +36,6 @@ from .picard import (
     s5_transform,
 )
 from .characters import geometry_of
-
-# Most lines superset transfers may add to a problem, summed over nested
-# transfers.  No certificate for n = 3..12 uses a transfer at all, so a
-# larger budget would only lengthen the search.
-SUPERSET_DEPTH = 2
 
 
 class MalformedWitnessError(ValueError):
@@ -335,16 +330,14 @@ def canonical_problem(logset, twist):
 class ProofEngine:
     """Deterministic certificate pipeline over problems.
 
-    Stage order per problem: forced non-vanishing when the Euler
-    characteristic is negative (with the h^2 axiom), then pole dropping,
-    then the direct witness search, then the axiom registry keyed on the
-    canonical form, then superset transfers adding at most SUPERSET_DEPTH
-    lines.  The canonical form is computed only when the witness search
-    fails; it keys the registry, the recursion guard and the unresolved
-    record.
+    Each problem passes once through a fixed sequence of stages: forced
+    non-vanishing when the Euler characteristic is negative (with the h^2
+    axiom), then pole dropping, then the direct witness search, then the
+    axiom registry keyed on the canonical form.  The canonical form is
+    computed only when the witness search fails; it keys the registry and
+    the unresolved record.
 
-    Results are memoized per exact problem; only top-level results enter
-    the memo, so recursion guards cannot poison it.
+    Results are memoized per exact problem.
     """
 
     def __init__(self, registry=None):
@@ -354,51 +347,26 @@ class ProofEngine:
     def prove(self, prob):
         cert = self._memo.get(prob)
         if cert is None:
-            cert = self._memo[prob] = self._solve(prob, SUPERSET_DEPTH, frozenset())
+            cert = self._memo[prob] = self._solve(prob)
         return cert
 
     def prove_character(self, psi):
         return self.prove(problem_of(psi))
 
-    def _solve(self, prob, budget, active):
+    def _solve(self, prob):
         chi = chi_log(prob.logset, prob.twist)
         if chi < 0 and prob.h2_zero:
             return NonVanishing(chi, -chi)
 
         reduced, removed = drop_reduce(prob)
-        inner = self._stages(reduced, budget, active)
-        if removed and certifies_vanishing(inner):
-            return DropLines(removed, inner)
-        return inner
-
-    def _stages(self, prob, budget, active):
-        found = gvt_search(prob)
+        found = gvt_search(reduced)
         if found:
             a, b = found
-            return GvtWitness(tuple(sorted(a)), tuple(sorted(b)))
-
-        # A witness exists for all of a symmetry class or for none of it, so
-        # a problem whose class is already on the stack has no witness either.
-        ckey, _ = canonical_problem(prob.logset, prob.twist)
-        if ckey in active:
-            return Unresolved(*ckey)
-        active = active | {ckey}
-
-        if self.registry is not None:
-            entry = self.registry.lookup(ckey)
-            if entry is not None:
-                return ExternalAxiom(entry.id)
-
-        if budget > 0:
-            candidates = [p for p in PAIRS
-                          if p not in prob.logset
-                          and pairing(class_of(p), prob.twist) <= -1]
-            for size in range(1, min(budget, len(candidates)) + 1):
-                for added in combinations(candidates, size):
-                    big = VanishingProblem(prob.logset | set(added), prob.twist,
-                                           prob.h2_zero)
-                    inner = self._solve(big, budget - size, active)
-                    if certifies_vanishing(inner):
-                        return superset_transfer(prob, added, inner)
-
-        return Unresolved(*ckey)
+            cert = GvtWitness(tuple(sorted(a)), tuple(sorted(b)))
+        else:
+            ckey, _ = canonical_problem(reduced.logset, reduced.twist)
+            entry = None if self.registry is None else self.registry.lookup(ckey)
+            if entry is None:
+                return Unresolved(*ckey)
+            cert = ExternalAxiom(entry.id)
+        return DropLines(removed, cert) if removed else cert

@@ -14,7 +14,6 @@ from hkrigidity.invariants import (
     problem_histogram,
     rigidity_report,
 )
-from hkrigidity.registry import dumps
 from hkrigidity.vanishing import problem_of
 
 
@@ -123,6 +122,27 @@ class TestRigidityReport:
         assert report.axiom_ids == ("axiom-01", "axiom-02")
         assert report.crosscheck_ok
 
+    def test_exponent_two_left_unresolved(self):
+        # the only accepted exponent the shipped registry leaves unresolved
+        report = rigidity_report(2)
+        assert report.exit_code == 2
+        assert {k: v for k, v in report.tally.items() if v} == {
+            "drop": 16,
+            "unresolved": 16,
+        }
+        assert report.unresolved_keys == (
+            ((), (0, 0, 0, 0, 0)),
+            (((1, 2), (1, 3), (2, 4), (3, 4)), (-2, 1, 1, 1, 1)),
+        )
+
+    def test_exponent_two_without_registry(self):
+        from hkrigidity.registry import Registry
+
+        report = rigidity_report(2, Registry(()))
+        assert report.exit_code == 2
+        assert report.tally["unresolved"] == 32
+        assert len(report.unresolved_keys) == 4
+
     def test_tally_always_covers_all_characters(self):
         for n in (3, 4, 5):
             report = rigidity_report(n)
@@ -174,7 +194,7 @@ class TestRigidityReport:
     def test_missing_registry_leaves_unresolved(self):
         from hkrigidity.registry import Registry
 
-        report = rigidity_report(4, Registry(()), registry_text=dumps(Registry(())))
+        report = rigidity_report(4, Registry(()))
         assert not report.rigid
         assert report.exit_code == 2
         assert report.tally["unresolved"] > 0

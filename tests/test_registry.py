@@ -54,6 +54,13 @@ def test_digest_is_stable_and_content_sensitive():
     assert len(digest(text)) == 64
 
 
+def test_registry_keeps_its_text():
+    text = default_registry_text() + "# trailing comment\n"
+    assert loads(text).text == text
+    built = Registry(default_registry().entries)
+    assert built.text == dumps(built) == default_registry_text()
+
+
 def test_load_path(tmp_path):
     target = tmp_path / "axioms.txt"
     target.write_text(default_registry_text(), encoding="utf-8")

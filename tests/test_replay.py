@@ -12,6 +12,7 @@ import pytest
 
 from hkrigidity.characters import Character, orbit_representatives
 from hkrigidity.picard import PAIRS, class_of, pairing
+from hkrigidity import replay as replay_mod
 from hkrigidity.registry import default_registry
 from hkrigidity.replay import (
     ReplayError,
@@ -92,6 +93,28 @@ class TestReplayVerdicts:
         assert cert.kind == "unresolved"
         with pytest.raises(ReplayError):
             replay(prob, cert, registry=self.registry)
+
+    def test_default_table_built_and_validated_once(self, monkeypatch):
+        calls = {"build": 0, "validate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(replay_mod, "build_table",
+                            counted("build", replay_mod.build_table))
+        monkeypatch.setattr(replay_mod, "validate_table",
+                            counted("validate", replay_mod.validate_table))
+        replay_mod._honest_table.cache_clear()
+        for psi, _ in orbit_representatives(4):
+            prob = problem_of(psi)
+            cert = self.engine.prove(prob)
+            assert replay(prob, cert, registry=self.registry).ok
+        assert calls == {"build": 1, "validate": 1}
+        with pytest.raises(TypeError):
+            replay_mod._honest_table()[((1, 2), (3, 4))] = 0
 
     def test_poisoned_table_rejected_before_use(self):
         prob = problem_of(Character(4, (1, 2, 3, 0, 2)))

@@ -16,7 +16,8 @@ from hkrigidity.picard import (
     map_pair,
     s5_transform,
 )
-from hkrigidity.registry import default_registry
+from hkrigidity.registry import Registry, RegistryEntry, default_registry
+from hkrigidity.replay import replay
 from hkrigidity.vanishing import (
     ExternalAxiom,
     MalformedWitnessError,
@@ -220,6 +221,22 @@ class TestSuperset:
                 VanishingProblem(TRIANGLE | {(1, 5)}, E1), ((1, 5),), inner
             )
 
+    def test_engine_does_not_search_for_transfers(self):
+        # a registry closing only the enlarged problem leaves the problem
+        # itself open; the transfer built by hand still replays
+        twist = DivisorClass.from_tuple((-3, 1, 0, 0, 0))
+        prob = VanishingProblem(frozenset({(2, 3), (2, 5), (3, 5)}), twist)
+        big = VanishingProblem(prob.logset | {(1, 2)}, twist)
+        (logset, key_twist), _ = canonical_problem(big.logset, twist)
+        registry = Registry([RegistryEntry(
+            "axiom-01", logset, DivisorClass.from_tuple(key_twist), "test")])
+        engine = ProofEngine(registry)
+        assert engine.prove(big) == ExternalAxiom("axiom-01")
+        assert engine.prove(prob).kind == "unresolved"
+        cert = superset_transfer(prob, ((1, 2),), engine.prove(big))
+        assert cert.slack == -2
+        assert replay(prob, cert, registry=registry).ok
+
 
 class TestCanonical:
     def test_canonical_is_orbit_invariant(self):
@@ -360,8 +377,6 @@ class TestEquivariance:
             )
 
     def test_transported_certificates_check(self):
-        from hkrigidity.replay import replay
-
         rng = random.Random(23)
         engine = ProofEngine(default_registry())
         registry = default_registry()
