@@ -42,6 +42,14 @@ from .vanishing import ProofEngine, problem_of
 # is refused before anything is allocated.
 MAX_EXPONENT = 40
 
+# Largest level cb accepts.  The census and the proposition check grow
+# roughly as n^4: level 64 takes about 17 s, level 128 about two minutes.
+MAX_CB_LEVEL = 64
+
+# Largest exponent invariants accepts.  Each exponent of a range is computed
+# and its report kept until the end; 2..10000 takes about a second.
+MAX_INVARIANT_EXPONENT = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse signals usage errors with exit code 2; remap to 3 so code 2
@@ -59,17 +67,17 @@ def _parse_range(text: str):
     lo, hi = int(lo), int(hi)
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
-def _check_bounds(parser, ns, minimum, maximum=None):
+def _check_bounds(parser, ns, minimum, maximum):
     if ns[0] < minimum:
         parser.error(f"exponent must be at least {minimum}")
-    if maximum is not None and ns[-1] > maximum:
+    if ns[-1] > maximum:
         parser.error(f"exponent must be at most {maximum}")
 
 
-def _resolve_ns(parser, args, minimum=2, maximum=None):
+def _resolve_ns(parser, args, maximum, minimum=2):
     if args.n is not None and args.n_range is not None:
         parser.error("--n and --n-range are mutually exclusive")
     if args.n is not None:
@@ -134,7 +142,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_rigidity(parser, args) -> int:
-    ns = _resolve_ns(parser, args, maximum=MAX_EXPONENT)
+    if args.csv and args.json:
+        parser.error("--csv and --json are mutually exclusive")
+    ns = _resolve_ns(parser, args, MAX_EXPONENT)
     if args.jobs < 1:
         parser.error("--jobs must be positive")
     if args.registry is not None:
@@ -173,7 +183,7 @@ def _cmd_rigidity(parser, args) -> int:
 
 
 def _cmd_invariants(parser, args) -> int:
-    ns = _resolve_ns(parser, args)
+    ns = _resolve_ns(parser, args, MAX_INVARIANT_EXPONENT)
     payloads, texts = [], []
     for n in ns:
         inv = closed_form(n)
@@ -289,7 +299,7 @@ def _cmd_checks(parser, args) -> int:
 
 
 def _cmd_cb(parser, args) -> int:
-    ns = _resolve_ns(parser, args, minimum=0)
+    ns = _resolve_ns(parser, args, MAX_CB_LEVEL, minimum=0)
     if args.emit_svg is not None and len(ns) != 1:
         parser.error("--emit-svg needs a single --n")
     payloads, texts = [], []
@@ -304,8 +314,11 @@ def _cmd_cb(parser, args) -> int:
         if not (report.pair_identity_ok and report.formula_ok and verification.ok):
             code = 1
     if args.emit_svg is not None:
-        with open(args.emit_svg, "w", encoding="utf-8") as handle:
-            handle.write(cb.render_svg(ns[0]))
+        try:
+            with open(args.emit_svg, "w", encoding="utf-8") as handle:
+                handle.write(cb.render_svg(ns[0]))
+        except OSError as exc:
+            parser.error(f"--emit-svg {args.emit_svg}: {exc}")
     if args.json:
         body = payloads[0] if len(payloads) == 1 else payloads
         sys.stdout.write(reports.to_json(body))

@@ -198,7 +198,8 @@ class RigidityReport:
         return 0
 
 
-_TALLY_KEYS = ("gvt", "drop", "superset", "registry", "nonvanishing", "unresolved")
+# "superset" is a retired certificate form: always 0, kept for schema 1 bytes.
+TALLY_KEYS = ("gvt", "drop", "superset", "registry", "nonvanishing", "unresolved")
 
 
 def _full_worker(args):
@@ -263,7 +264,7 @@ def rigidity_report(
             entry[2] += weight
             entry[3] = min(entry[3], psi.a)
 
-    tally = {k: counts.get(k, 0) for k in _TALLY_KEYS}
+    tally = {k: counts.get(k, 0) for k in TALLY_KEYS}
     if sum(tally.values()) != n**5:
         raise InternalInconsistencyError(
             f"certificate tally covers {sum(tally.values())} of {n ** 5} characters"

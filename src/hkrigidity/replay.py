@@ -19,7 +19,6 @@ from .vanishing import (
     ExternalAxiom,
     GvtWitness,
     NonVanishing,
-    SupersetTransfer,
     VanishingProblem,
     canonical_problem,
 )
@@ -163,18 +162,6 @@ def _replay(problem, cert, table, registry):
         reduced = VanishingProblem(problem.logset - removed, problem.twist,
                                    problem.h2_zero)
         return _replay(reduced, cert.inner, table, registry)
-
-    if isinstance(cert, SupersetTransfer):
-        added = set(cert.added)
-        if len(added) != len(cert.added) or added & problem.logset:
-            return _fail("added lines must be new and distinct")
-        twist = problem.twist.as_tuple()
-        slack = sum(1 + form_product(line_vector(p), twist) for p in added)
-        if slack != cert.slack or slack > 0:
-            return _fail(f"slack recomputed {slack}, certificate {cert.slack}")
-        enlarged = VanishingProblem(problem.logset | added, problem.twist,
-                                    problem.h2_zero)
-        return _replay(enlarged, cert.inner, table, registry)
 
     if isinstance(cert, ExternalAxiom):
         if registry is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .cb_arrangements import CensusReport, VerificationReport
-from .invariants import RigidityReport, SurfaceInvariants, _TALLY_KEYS
+from .invariants import RigidityReport, SurfaceInvariants, TALLY_KEYS
 
 SCHEMA_VERSION = 1
 
@@ -73,7 +73,7 @@ def rigidity_payload(report: RigidityReport) -> dict:
 def rigidity_csv(reports: list) -> str:
     lines = ["n,kind,characters"]
     for report in reports:
-        for kind in _TALLY_KEYS:
+        for kind in TALLY_KEYS:
             lines.append(f"{report.n},{kind},{report.tally[kind]}")
     return "\n".join(lines) + "\n"
 
@@ -83,7 +83,7 @@ def rigidity_text(report: RigidityReport) -> str:
         f"exponent n = {report.n} ({report.mode} mode): "
         f"{report.total_characters} characters in {report.orbit_count} orbits",
         "  verdicts: "
-        + ", ".join(f"{k}={report.tally[k]}" for k in _TALLY_KEYS if report.tally[k]),
+        + ", ".join(f"{k}={report.tally[k]}" for k in TALLY_KEYS if report.tally[k]),
     ]
     if report.nonvanishing:
         for w in report.nonvanishing:

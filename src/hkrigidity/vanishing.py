@@ -15,10 +15,7 @@ certifies h^1 = 0 through three rules
     justification),
 
 or reports forced non-vanishing when the Euler characteristic is negative
-and h^2 vanishes.  A fourth certificate form, transfer from a certified
-superset of poles with nonpositive Euler slack, can be built by hand and
-replays, but the engine never searches for one: no problem of any accepted
-exponent needs it.  Certificates are plain data and replay through an
+and h^2 vanishes.  Certificates are plain data and replay through an
 independent checker; the search is never trusted.
 """
 
@@ -40,10 +37,6 @@ from .characters import geometry_of
 
 class MalformedWitnessError(ValueError):
     """A proposed witness violates the structural preconditions."""
-
-
-class TransferInvalidError(ValueError):
-    """A superset transfer with positive Euler slack proves nothing."""
 
 
 @dataclass(frozen=True)
@@ -99,15 +92,6 @@ class DropLines:
 
 
 @dataclass(frozen=True)
-class SupersetTransfer:
-    added: tuple
-    inner: object
-    slack: int
-
-    kind = "superset"
-
-
-@dataclass(frozen=True)
 class ExternalAxiom:
     registry_id: str
 
@@ -128,14 +112,6 @@ class Unresolved:
     canonical_twist: tuple
 
     kind = "unresolved"
-
-
-def certifies_vanishing(cert):
-    if isinstance(cert, (GvtWitness, SupersetTransfer, ExternalAxiom)):
-        return True
-    if isinstance(cert, DropLines):
-        return certifies_vanishing(cert.inner)
-    return False
 
 
 def certificate_chain(cert):
@@ -285,24 +261,6 @@ def drop_reduce(prob):
     reduced = VanishingProblem(prob.logset - set(removed), prob.twist,
                                prob.h2_zero)
     return reduced, removed
-
-
-def superset_transfer(prob, added, inner):
-    """Wrap a vanishing certificate of the enlarged problem (poles plus
-    `added`) into one for the original problem.
-
-    Valid when each added line keeps the Euler characteristic from
-    growing: h^1(T) <= h^0(T union added) - chi(T) = chi difference <= 0.
-    """
-    added = tuple(sorted(make_pair(*p) for p in added))
-    if len(set(added)) != len(added) or set(added) & prob.logset:
-        raise MalformedWitnessError("added lines must be new and distinct")
-    if not certifies_vanishing(inner):
-        raise TransferInvalidError("inner certificate does not certify vanishing")
-    slack = sum(1 + pairing(class_of(p), prob.twist) for p in added)
-    if slack > 0:
-        raise TransferInvalidError(f"positive Euler slack {slack}")
-    return SupersetTransfer(added, inner, slack)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,13 @@ import json
 
 import pytest
 
-from hkrigidity import characters, cli, invariants
-from hkrigidity.cli import MAX_EXPONENT, main
+from hkrigidity import cb_arrangements, characters, cli, invariants
+from hkrigidity.cli import (
+    MAX_CB_LEVEL,
+    MAX_EXPONENT,
+    MAX_INVARIANT_EXPONENT,
+    main,
+)
 from hkrigidity.registry import default_registry_text
 
 
@@ -131,18 +136,34 @@ class TestUsageErrors:
             ["rigidity", "--n", "1000"],
             ["rigidity", "--n-range", f"4..{MAX_EXPONENT + 1}", "--full"],
             ["checks", "--n-range", "4..1000"],
+            ["cb", "--n", str(MAX_CB_LEVEL + 1)],
+            ["cb", "--n-range", f"0..{MAX_CB_LEVEL + 1}"],
+            ["cb", "--n-range", f"0..{10**30}"],
+            ["invariants", "--n", str(MAX_INVARIANT_EXPONENT + 1)],
+            ["invariants", "--n-range", f"2..{MAX_INVARIANT_EXPONENT + 1}"],
+            ["invariants", "--n-range", f"2..{10**30}", "--json"],
         ],
     )
     def test_huge_exponent_refused_before_enumeration(self, monkeypatch, argv):
         def refuse(*args, **kwargs):
-            raise AssertionError("orbit enumeration started")
+            raise AssertionError("work started")
 
         monkeypatch.setattr(characters, "orbit_representatives", refuse)
         monkeypatch.setattr(invariants, "orbit_representatives", refuse)
         monkeypatch.setattr(cli, "orbit_representatives", refuse)
+        monkeypatch.setattr(cb_arrangements, "census", refuse)
+        monkeypatch.setattr(cb_arrangements, "verify_propositions", refuse)
+        monkeypatch.setattr(invariants, "closed_form", refuse)
+        monkeypatch.setattr(cli, "closed_form", refuse)
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 3
+
+    def test_csv_and_json_conflict(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["rigidity", "--n", "3", "--csv", "--json"])
+        assert err.value.code == 3
+        assert "--csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("span", ["1..1", "2..2"])
     def test_checks_exponent_below_minimum(self, capsys, span):
@@ -214,6 +235,13 @@ class TestCb:
         assert code == 0
         body = target.read_text(encoding="utf-8")
         assert body.startswith("<svg") and body.rstrip().endswith("</svg>")
+
+    def test_unwritable_svg_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.svg"
+        with pytest.raises(SystemExit) as err:
+            main(["cb", "--n", "2", "--emit-svg", str(target)])
+        assert err.value.code == 3
+        assert "--emit-svg" in capsys.readouterr().err
 
     def test_svg_needs_single_exponent(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -23,19 +23,16 @@ from hkrigidity.vanishing import (
     MalformedWitnessError,
     NonVanishing,
     ProofEngine,
-    TransferInvalidError,
     Unresolved,
     VanishingProblem,
     canonical_problem,
     certificate_chain,
-    certifies_vanishing,
     chi_log,
     drop_reduce,
     gvt_check,
     gvt_search,
     problem_of,
     rules_used,
-    superset_transfer,
 )
 
 E1 = class_of((1, 5))
@@ -198,32 +195,9 @@ def _pair_twist(p, twist):
 
 
 class TestSuperset:
-    def test_transfer_with_zero_slack(self):
-        engine = ProofEngine(default_registry())
-        inner = engine.prove(VanishingProblem(TRIANGLE | {(1, 5)}, E1))
-        assert certifies_vanishing(inner)
-        cert = superset_transfer(VanishingProblem(TRIANGLE, E1), ((1, 5),), inner)
-        assert cert.kind == "superset"
-        assert cert.slack == 0
-        assert cert.added == ((1, 5),)
-
-    def test_transfer_rejects_positive_slack(self):
-        engine = ProofEngine(default_registry())
-        inner = engine.prove(VanishingProblem(TRIANGLE | {(1, 2)}, E1))
-        with pytest.raises(TransferInvalidError):
-            superset_transfer(VanishingProblem(TRIANGLE, E1), ((1, 2),), inner)
-
-    def test_transfer_rejects_existing_pole(self):
-        engine = ProofEngine(default_registry())
-        inner = engine.prove(VanishingProblem(TRIANGLE | {(1, 5)}, E1))
-        with pytest.raises(MalformedWitnessError):
-            superset_transfer(
-                VanishingProblem(TRIANGLE | {(1, 5)}, E1), ((1, 5),), inner
-            )
-
     def test_engine_does_not_search_for_transfers(self):
         # a registry closing only the enlarged problem leaves the problem
-        # itself open; the transfer built by hand still replays
+        # itself open
         twist = DivisorClass.from_tuple((-3, 1, 0, 0, 0))
         prob = VanishingProblem(frozenset({(2, 3), (2, 5), (3, 5)}), twist)
         big = VanishingProblem(prob.logset | {(1, 2)}, twist)
@@ -233,9 +207,6 @@ class TestSuperset:
         engine = ProofEngine(registry)
         assert engine.prove(big) == ExternalAxiom("axiom-01")
         assert engine.prove(prob).kind == "unresolved"
-        cert = superset_transfer(prob, ((1, 2),), engine.prove(big))
-        assert cert.slack == -2
-        assert replay(prob, cert, registry=registry).ok
 
 
 class TestCanonical:
@@ -333,7 +304,7 @@ class TestEngine:
         monkeypatch.setattr(vanishing, "canonical_problem", counting)
         engine = ProofEngine(default_registry())
         cert = engine.prove_character(Character(5, (1, 2, 3, 4, 0)))
-        assert certifies_vanishing(cert) and "registry" not in rules_used(cert)
+        assert rules_used(cert) in ({"gvt"}, {"drop", "gvt"})
         assert calls == []
         cert = engine.prove_character(Character(4, (0, 0, 0, 0, 0)))
         assert cert.kind == "drop"
