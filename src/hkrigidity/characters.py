@@ -74,7 +74,7 @@ class Character:
         if self.n < 2:
             raise ValueError("modulus must be at least 2")
         if len(self.a) != 5:
-            raise ValueError("need exactly five residues")
+            raise ValueError("need exactly five residue values")
         object.__setattr__(self, "a", tuple(x % self.n for x in self.a))
 
     @property
@@ -269,19 +269,16 @@ def orbit_representatives(n, chunk=200_000):
     return out
 
 
-def weighted_characters(n, orbits=True, residues=None):
+def weighted_characters(n, orbits=True):
     """Every character of (Z/n)^5 once, as (Character, weight) pairs.
 
     With orbits, one representative per symmetry orbit weighted by the
     orbit size (a list, so its length is the orbit count); otherwise each
-    character with weight 1 in ascending order, restricted to the leading
-    residues in `residues` when given.
+    character with weight 1 in ascending order.
     """
     if orbits:
         return orbit_representatives(n)
-    leading = range(n) if residues is None else residues
-    return ((Character(n, (a1,) + rest), 1)
-            for a1 in leading for rest in product(range(n), repeat=4))
+    return ((Character(n, a), 1) for a in product(range(n), repeat=5))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import lru_cache
 
 from . import cb_arrangements as cb
 from . import replay as replay_mod
@@ -37,13 +38,20 @@ from .registry import (
 )
 from .vanishing import ProofEngine, problem_of
 
-# Largest exponent rigidity and checks accept.  Orbit enumeration holds one
+# Largest exponent rigidity accepts.  Orbit enumeration holds one
 # int64 per character, 8 * n^5 bytes (about 0.8 GB at n = 40), so a larger n
 # is refused before anything is allocated.
 MAX_EXPONENT = 40
 
+# Largest exponent checks accepts.  Its rank-exception and invariant sweeps
+# visit all n^5 characters one by one in Python: n = 8 takes about 12 s and
+# n = 10 about 33 s, and the cost grows as n^5 (days at n = 40).
+MAX_CHECKS_EXPONENT = 8
+
 # Largest level cb accepts.  The census and the proposition check grow
 # roughly as n^4: level 64 takes about 17 s, level 128 about two minutes.
+# A range costs about as much as its top level, since each level's census
+# is computed once per command.
 MAX_CB_LEVEL = 64
 
 # Largest exponent invariants accepts.  Each exponent of a range is computed
@@ -116,7 +124,9 @@ def build_parser() -> _Parser:
     mode.add_argument(
         "--full", action="store_true", help="prove every character individually"
     )
-    rig.add_argument("--jobs", type=int, default=1, help="workers for full mode")
+    # --jobs has no effect: full mode runs in one process.  It still parses,
+    # with its positivity check, so existing command lines keep working.
+    rig.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     rig.add_argument(
         "--registry", default=None, metavar="PATH", help="alternate axiom registry"
     )
@@ -159,9 +169,7 @@ def _cmd_rigidity(parser, args) -> int:
     worst = 0
     for n in ns:
         t0 = time.perf_counter()
-        report = rigidity_report(
-            n, registry, orbit_mode=not args.full, jobs=args.jobs
-        )
+        report = rigidity_report(n, registry, orbit_mode=not args.full)
         print(
             f"rigidity n={n}: {time.perf_counter() - t0:.2f}s", file=sys.stderr
         )
@@ -218,7 +226,7 @@ def _cmd_checks(parser, args) -> int:
         ns = _parse_range(args.n_range)
     except ValueError as exc:
         parser.error(str(exc))
-    _check_bounds(parser, ns, 3, MAX_EXPONENT)
+    _check_bounds(parser, ns, 3, MAX_CHECKS_EXPONENT)
 
     results = []
 
@@ -302,12 +310,15 @@ def _cmd_cb(parser, args) -> int:
     ns = _resolve_ns(parser, args, MAX_CB_LEVEL, minimum=0)
     if args.emit_svg is not None and len(ns) != 1:
         parser.error("--emit-svg needs a single --n")
+    # Level n's propositions re-read the census of every level up to n, so
+    # one memo per command keeps a range as cheap as its top level.
+    census_of = lru_cache(maxsize=None)(cb.census)
     payloads, texts = [], []
     code = 0
     for n in ns:
         t0 = time.perf_counter()
-        report = cb.census(n)
-        verification = cb.verify_propositions(max(n, 1))
+        report = census_of(n)
+        verification = cb.verify_propositions(max(n, 1), census_of)
         print(f"cb n={n}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
         payloads.append(reports.cb_payload(report, verification))
         texts.append(reports.cb_text(report, verification))

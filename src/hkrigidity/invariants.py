@@ -12,7 +12,6 @@ problem of the n^5 characters once.
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -202,46 +201,27 @@ class RigidityReport:
 TALLY_KEYS = ("gvt", "drop", "superset", "registry", "nonvanishing", "unresolved")
 
 
-def _full_worker(args):
-    n, residues = args
-    return problem_histogram(weighted_characters(n, orbits=False, residues=residues))
-
-
 def rigidity_report(
     n: int,
     registry: Optional[Registry] = None,
     *,
     orbit_mode: bool = True,
-    jobs: int = 1,
 ) -> RigidityReport:
     """Certify every character of (Z/n)^5 and assemble the summary report.
 
     Each character's problem is computed, and each distinct problem is
     proven once and weighted by its character count.  Orbit mode computes
     one problem per symmetry orbit, weighted by orbit size; full mode
-    computes the problem of every one of the n^5 characters.  Both modes
-    must produce identical aggregates.  jobs > 1 splits full mode's problem
-    computation by the leading character digit over min(jobs, n) processes;
-    merging histograms is commutative so the worker count cannot change the
-    report.
+    computes the problem of every one of the n^5 characters, in this
+    process.  Both modes feed the same problem histogram and must produce
+    identical aggregates.
     """
     if registry is None:
         registry = default_registry()
 
     characters = weighted_characters(n, orbit_mode)
     orbit_count = len(characters) if orbit_mode else len(orbit_representatives(n))
-    workers = 1 if orbit_mode else min(jobs, n)
-    if workers > 1:
-        hist: dict = {}
-        splits = [(n, range(n)[k::workers]) for k in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            for part in pool.map(_full_worker, splits):
-                for prob, (weight, psi) in part.items():
-                    entry = hist.setdefault(prob, [0, psi])
-                    entry[0] += weight
-                    entry[1] = min(entry[1], psi, key=lambda c: c.a)
-    else:
-        hist = problem_histogram(characters)
+    hist = problem_histogram(characters)
 
     engine = ProofEngine(registry)
     counts: Counter = Counter()

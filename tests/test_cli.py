@@ -6,12 +6,18 @@ deterministic (timings are stderr-only).
 
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hkrigidity
 from hkrigidity import cb_arrangements, characters, cli, invariants
 from hkrigidity.cli import (
     MAX_CB_LEVEL,
+    MAX_CHECKS_EXPONENT,
     MAX_EXPONENT,
     MAX_INVARIANT_EXPONENT,
     main,
@@ -84,6 +90,28 @@ class TestRigidity:
         del orbit_payload["mode"], full_payload["mode"]
         assert orbit_payload == full_payload
 
+    def test_jobs_has_no_effect_and_starts_no_pool(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("worker pool started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        _, single = run(capsys, ["rigidity", "--n", "4", "--full", "--json"])
+        code, jobs = run(
+            capsys, ["rigidity", "--n", "4", "--full", "--jobs", "3", "--json"]
+        )
+        assert code == 0
+        assert jobs == single
+
+    def test_import_does_not_load_multiprocessing(self):
+        src = os.path.dirname(os.path.dirname(hkrigidity.__file__))
+        probe = "import sys, hkrigidity.cli; print('multiprocessing' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "False"
+
     def test_explicit_registry_path(self, capsys, tmp_path):
         target = tmp_path / "axioms.txt"
         target.write_text(default_registry_text(), encoding="utf-8")
@@ -136,6 +164,7 @@ class TestUsageErrors:
             ["rigidity", "--n", "1000"],
             ["rigidity", "--n-range", f"4..{MAX_EXPONENT + 1}", "--full"],
             ["checks", "--n-range", "4..1000"],
+            ["checks", "--n-range", f"4..{MAX_CHECKS_EXPONENT + 1}"],
             ["cb", "--n", str(MAX_CB_LEVEL + 1)],
             ["cb", "--n-range", f"0..{MAX_CB_LEVEL + 1}"],
             ["cb", "--n-range", f"0..{10**30}"],
@@ -155,9 +184,18 @@ class TestUsageErrors:
         monkeypatch.setattr(cb_arrangements, "verify_propositions", refuse)
         monkeypatch.setattr(invariants, "closed_form", refuse)
         monkeypatch.setattr(cli, "closed_form", refuse)
+        monkeypatch.setattr(cli, "_rank_exception_sweep", refuse)
+        monkeypatch.setattr(cli, "character_invariant_suite", refuse)
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 3
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs(self, capsys, jobs):
+        with pytest.raises(SystemExit) as err:
+            main(["rigidity", "--n", "3", "--jobs", jobs])
+        assert err.value.code == 3
+        assert "--jobs" in capsys.readouterr().err
 
     def test_csv_and_json_conflict(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -242,6 +280,21 @@ class TestCb:
             main(["cb", "--n", "2", "--emit-svg", str(target)])
         assert err.value.code == 3
         assert "--emit-svg" in capsys.readouterr().err
+
+    def test_range_computes_each_census_once(self, capsys, monkeypatch):
+        calls = []
+        census = cb_arrangements.census
+
+        def counting(n):
+            calls.append(n)
+            return census(n)
+
+        _, expected = run(capsys, ["cb", "--n-range", "0..6", "--json"])
+        monkeypatch.setattr(cb_arrangements, "census", counting)
+        code, out = run(capsys, ["cb", "--n-range", "0..6", "--json"])
+        assert code == 0
+        assert out == expected
+        assert sorted(calls) == list(range(7))
 
     def test_svg_needs_single_exponent(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as err:

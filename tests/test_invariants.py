@@ -161,36 +161,6 @@ class TestRigidityReport:
             assert orbit.chi_character_sum == full.chi_character_sum
             assert orbit.orbit_count == full.orbit_count
 
-    def test_worker_count_does_not_change_report(self):
-        one = rigidity_report(4, orbit_mode=False, jobs=1)
-        two = rigidity_report(4, orbit_mode=False, jobs=3)
-        assert one.tally == two.tally
-        assert one.nonvanishing == two.nonvanishing
-        assert one.chi_character_sum == two.chi_character_sum
-
-    def test_jobs_clamped_to_exponent(self, monkeypatch):
-        from hkrigidity import invariants
-
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return list(map(fn, items))
-
-        monkeypatch.setattr(invariants.multiprocessing, "Pool", InProcessPool)
-        clamped = rigidity_report(4, orbit_mode=False, jobs=1000)
-        assert sizes == [4]
-        assert clamped == rigidity_report(4, orbit_mode=False, jobs=1)
-
     def test_missing_registry_leaves_unresolved(self):
         from hkrigidity.registry import Registry
 
