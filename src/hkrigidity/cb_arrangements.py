@@ -331,10 +331,15 @@ def _chart(p: tuple):
     return (p[1] + 0.5 * p[2]) / s, (0.8660254037844386 * p[2]) / s
 
 
-def render_svg(n: int, width: int = 720, height: int = 720) -> str:
-    """Exact-configuration picture in an affine chart; floats only for drawing."""
+def render_svg(n: int, width: int = 720, height: int = 720,
+               census_of=None) -> str:
+    """Exact-configuration picture in an affine chart; floats only for drawing.
+
+    census_of maps a level to its census (default: census); a caller that
+    already holds the census of level n passes its memo.
+    """
     lines = build_configuration(n)
-    report = census(n)
+    report = (census_of or census)(n)
     on_line = {u: [] for u in lines}
     for p, _ in report.points:
         xy = _chart(p)

@@ -243,29 +243,30 @@ def _all_char_matrices():
 def orbit_representatives(n, chunk=200_000):
     """One lexicographically least representative per symmetry orbit.
 
-    Sweeps all n^5 residue vectors with vectorized arithmetic, mapping
-    each to the minimum of its 120 images; returns [(Character, orbit
-    size)] sorted by representative.  Orbit sizes sum to n^5.
+    Sweeps all n^5 residue vectors in chunks with vectorized arithmetic.
+    The 120 matrices are applied in turn, and after each one only the
+    codes whose image is not smaller survive, so each orbit's least
+    element is all that remains; its orbit size is 120 over the number of
+    matrices fixing it.  Returns [(Character, orbit size)] sorted by
+    representative.  Orbit sizes sum to n^5.
     """
     if n < 2:
         raise ValueError("modulus must be at least 2")
     mats = _all_char_matrices()
     powers = np.array([n ** k for k in range(4, -1, -1)], dtype=np.int64)
     total = n ** 5
-    min_codes = np.empty(total, dtype=np.int64)
+    out = []
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = (codes[:, None] // powers[None, :]) % n
-        best = codes.copy()
+        fixed = np.zeros(len(codes), dtype=np.int64)
         for m in mats:
-            image = (digits @ m.T) % n
-            np.minimum(best, image @ powers, out=best)
-        min_codes[start:start + len(codes)] = best
-    reps, sizes = np.unique(min_codes, return_counts=True)
-    out = []
-    for code, size in zip(reps.tolist(), sizes.tolist()):
-        a = tuple((code // int(p)) % n for p in powers)
-        out.append((Character(n, a), size))
+            image = ((digits @ m.T) % n) @ powers
+            fixed += image == codes
+            keep = image >= codes
+            codes, digits, fixed = codes[keep], digits[keep], fixed[keep]
+        out.extend((Character(n, tuple(a)), len(mats) // f)
+                   for a, f in zip(digits.tolist(), fixed.tolist()))
     return out
 
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .picard import DivisorClass, make_pair
-from .characters import orbit_representatives
-from .vanishing import ProofEngine, canonical_problem, problem_of
+from .vanishing import canonical_problem
 
 DATA_PACKAGE = "hkrigidity"
 DATA_PATH = "data/registry.txt"
@@ -166,24 +165,21 @@ def digest(text):
 def derive(n=5):
     """Regenerate the registry from scratch at the given exponent.
 
-    Runs the full pipeline with no registry over one representative per
-    character orbit and collects every problem left unresolved; at
-    exponent 5 each of these is covered by ball-quotient rigidity.  A
-    non-vanishing verdict at the derivation exponent would contradict
-    that theorem, so it raises."""
-    engine = ProofEngine(registry=None)
-    keys = set()
-    for psi, _size in orbit_representatives(n):
-        cert = engine.prove(problem_of(psi))
-        if cert.kind == "nonvanishing":
-            raise RuntimeError(
-                f"non-vanishing at exponent {n} contradicts ball-quotient "
-                f"rigidity: {psi}")
-        if cert.kind == "unresolved":
-            keys.add((cert.canonical_logset, cert.canonical_twist))
+    Runs the rigidity report with an empty registry and makes one entry
+    per unresolved canonical problem, in the report's order; at exponent 5
+    each of these is covered by ball-quotient rigidity.  A non-vanishing
+    verdict at the derivation exponent would contradict that theorem, so
+    it raises."""
+    # invariants imports this module, so the import waits for the call.
+    from .invariants import rigidity_report
+
+    report = rigidity_report(n, Registry(()))
+    if report.nonvanishing:
+        raise RuntimeError(
+            f"non-vanishing at exponent {n} contradicts ball-quotient "
+            f"rigidity: {report.nonvanishing[0]}")
     entries = []
-    for num, key in enumerate(sorted(keys), start=1):
-        logset, twist = key
+    for num, (logset, twist) in enumerate(report.unresolved_keys, start=1):
         justification = (_JUSTIFICATION_INVARIANT if not logset
                          else _JUSTIFICATION_BALL)
         entries.append(RegistryEntry(f"axiom-{num:02d}", logset,

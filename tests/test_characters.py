@@ -213,7 +213,7 @@ def burnside_orbit_count(n):
     return fixed // 120
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_orbit_representatives(n):
     reps = orbit_representatives(n)
     assert sum(size for _, size in reps) == n ** 5
@@ -226,6 +226,24 @@ def test_orbit_representatives(n):
         assert not orbit & seen
         seen |= orbit
     assert len(seen) == n ** 5
+
+
+ORBIT_COUNTS = {2: 4, 3: 11, 4: 26, 5: 56, 6: 118, 7: 217, 8: 388, 9: 654,
+                10: 1052, 11: 1628, 12: 2450, 16: 9608}
+
+
+@pytest.mark.parametrize("n", sorted(ORBIT_COUNTS))
+def test_orbit_count(n):
+    reps = orbit_representatives(n)
+    assert len(reps) == ORBIT_COUNTS[n]
+    assert sum(size for _, size in reps) == n ** 5
+    assert [psi.a for psi, _ in reps] == sorted(psi.a for psi, _ in reps)
+
+
+def test_orbit_representatives_independent_of_chunk():
+    reps = orbit_representatives(5)
+    assert orbit_representatives(5, chunk=7) == reps
+    assert orbit_representatives(5, chunk=1000) == reps
 
 
 def test_rank_exception_claw_n5():

@@ -296,6 +296,23 @@ class TestCb:
         assert out == expected
         assert sorted(calls) == list(range(7))
 
+    def test_svg_reuses_the_census(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        census = cb_arrangements.census
+
+        def counting(n):
+            calls.append(n)
+            return census(n)
+
+        expected = cb_arrangements.render_svg(8)
+        monkeypatch.setattr(cb_arrangements, "census", counting)
+        target = tmp_path / "level8.svg"
+        code, _ = run(capsys, ["cb", "--n", "8", "--json",
+                               "--emit-svg", str(target)])
+        assert code == 0
+        assert calls.count(8) == 1
+        assert target.read_text(encoding="utf-8") == expected
+
     def test_svg_needs_single_exponent(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["cb", "--n-range", "1..2", "--emit-svg", str(tmp_path / "x.svg")])

@@ -35,6 +35,12 @@ def test_shipped_file_matches_derivation():
     assert default_registry_text() == dumps(derive(5))
 
 
+@pytest.mark.parametrize("n", [4, 6, 7])
+def test_derivation_agrees_at_other_exponents(n):
+    # the problems left unresolved without a registry are the same two
+    assert default_registry_text() == dumps(derive(n))
+
+
 def test_roundtrip_is_byte_stable():
     text = default_registry_text()
     assert dumps(loads(text)) == text
