@@ -8,13 +8,16 @@ the character's eigensheaf, the twist used by the vanishing engine, the
 set of lines carrying logarithmic poles, and a 17-case classification of
 the twist vector.
 
-Everything is exact integer arithmetic; numpy is used only to sweep all
-n^5 characters when enumerating symmetry orbits.
+Everything is exact integer arithmetic.  geometry_of works on one
+character; numpy sweeps whole blocks of characters, to enumerate symmetry
+orbits and to compute the same log-pole sets and twists, with the same
+checks, as packed problem keys.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 
 import numpy as np
 
@@ -58,6 +61,9 @@ LOOP_FORMS = {
     (2, 5): (1, 0, 1, 0, 1),
     (3, 5): (0, 0, -1, -1, -1),
 }
+
+# Row i is the loop form of the line PAIRS[i].
+LOOP_MATRIX = np.array([LOOP_FORMS[p] for p in PAIRS], dtype=np.int64)
 
 QUADRANGLE_PAIRS = tuple(p for p in PAIRS if 5 not in p)
 EXCEPTIONAL_PAIRS = tuple(p for p in PAIRS if 5 in p)
@@ -236,50 +242,198 @@ def s5_act(t, psi):
     return Character(psi.n, a)
 
 
-def _all_char_matrices():
-    return np.array([char_matrix(t) for t in PERMS], dtype=np.int64)
+# Rows of residue codes swept at once by the array paths below.
+CHUNK = 1 << 15
+
+# The survivor filter applies these permutations first: greedily chosen at
+# n = 12, each discards the most of the codes the earlier ones kept, and
+# together they leave about 1.2% of all codes.  The rest follow in PERMS
+# order.  Any order leaves the same survivors.
+FILTER_PREFIX = ((2, 3, 5, 4, 1), (4, 5, 2, 1, 3), (1, 2, 5, 4, 3),
+                 (1, 3, 2, 4, 5), (4, 3, 5, 1, 2), (4, 2, 3, 1, 5),
+                 (3, 2, 1, 5, 4), (2, 1, 3, 4, 5))
 
 
-def orbit_representatives(n, chunk=200_000):
-    """One lexicographically least representative per symmetry orbit.
+def _digits(codes, n):
+    """Residue vectors of codes, the vectors read as base-n numbers."""
+    digits = codes[:, None] // n ** np.arange(4, -1, -1, dtype=np.int64)
+    digits %= n
+    return digits
 
-    Sweeps all n^5 residue vectors in chunks with vectorized arithmetic.
-    The 120 matrices are applied in turn, and after each one only the
-    codes whose image is not smaller survive, so each orbit's least
-    element is all that remains; its orbit size is 120 over the number of
-    matrices fixing it.  Returns [(Character, orbit size)] sorted by
-    representative.  Orbit sizes sum to n^5.
+
+def _loops(digits, n):
+    """Loop values of residue rows, one column per line of PAIRS."""
+    loops = digits @ LOOP_MATRIX.T
+    loops %= n
+    return loops
+
+
+def code_blocks(n, chunk=CHUNK):
+    """Every character of (Z/n)^5 once, as (codes, digits, weights) arrays
+    of at most chunk rows each, in ascending order of the code.  Every
+    weight is 1."""
+    total = n ** 5
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        yield codes, _digits(codes, n), np.ones(len(codes), dtype=np.int64)
+
+
+def survivor_blocks(n, chunk=CHUNK):
+    """One lexicographically least representative per symmetry orbit, as
+    (codes, digits, orbit sizes) arrays, one block per chunk of codes.
+
+    The image of a character under a permutation has five of the
+    character's ten loop values as its digits, so each image code is the
+    loop values weighted by powers of n.  Each chunk of codes meets the
+    permutations in turn, and after each one only the codes whose image is
+    not smaller survive; the FILTER_PREFIX ones run one at a time and the
+    other 112 at once on the few survivors.  What remains is each orbit's
+    least element, and its orbit size is 120 over the number of
+    permutations fixing it.  Orbit sizes sum to n^5.
     """
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    mats = _all_char_matrices()
-    powers = np.array([n ** k for k in range(4, -1, -1)], dtype=np.int64)
-    total = n ** 5
-    out = []
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (codes[:, None] // powers[None, :]) % n
+    order = FILTER_PREFIX + tuple(t for t in PERMS if t not in FILTER_PREFIX)
+    weights = np.zeros((len(PAIRS), len(order)), dtype=np.int64)
+    for j, t in enumerate(order):
+        for k, bp in enumerate(BASIS_PAIRS):
+            weights[PAIRS.index(map_pair(t, bp)), j] = n ** (4 - k)
+    head = len(FILTER_PREFIX)
+    for codes, digits, _ in code_blocks(n, chunk):
+        loops = _loops(digits, n)
         fixed = np.zeros(len(codes), dtype=np.int64)
-        for m in mats:
-            image = ((digits @ m.T) % n) @ powers
+        for w in weights[:, :head].T:
+            image = loops @ w
             fixed += image == codes
             keep = image >= codes
-            codes, digits, fixed = codes[keep], digits[keep], fixed[keep]
-        out.extend((Character(n, tuple(a)), len(mats) // f)
-                   for a, f in zip(digits.tolist(), fixed.tolist()))
-    return out
+            codes, loops, fixed = codes[keep], loops[keep], fixed[keep]
+        images = loops @ weights[:, head:]
+        keep = (images >= codes[:, None]).all(axis=1)
+        fixed += (images == codes[:, None]).sum(axis=1)
+        codes, fixed = codes[keep], fixed[keep]
+        yield codes, _digits(codes, n), len(order) // fixed
 
 
-def weighted_characters(n, orbits=True):
-    """Every character of (Z/n)^5 once, as (Character, weight) pairs.
+def orbit_representatives(n, chunk=CHUNK):
+    """[(Character, orbit size)] of survivor_blocks, sorted by
+    representative."""
+    return [(Character(n, tuple(a)), size)
+            for _, digits, sizes in survivor_blocks(n, chunk)
+            for a, size in zip(digits.tolist(), sizes.tolist())]
 
-    With orbits, one representative per symmetry orbit weighted by the
-    orbit size (a list, so its length is the orbit count); otherwise each
-    character with weight 1 in ascending order.
+
+def orbit_count(n):
+    """Number of symmetry orbits on (Z/n)^5, by Burnside's lemma.
+
+    A permutation t fixes n^(5-r) * prod gcd(d, n) characters, where the d
+    are the r nonzero Smith invariants of its matrix minus the identity.
+    These are (0,0,0,1,1) for the 25 involutions, (0,1,1,1,1) for the 44
+    three- and five-cycles, (0,1,1,1,2) for the 30 four-cycles and
+    (0,1,1,1,3) for the 20 products of a three-cycle and a transposition.
     """
-    if orbits:
-        return orbit_representatives(n)
-    return ((Character(n, a), 1) for a in product(range(n), repeat=5))
+    total = (n ** 5 + 25 * n ** 3 + 44 * n + 30 * gcd(2, n) * n
+             + 20 * gcd(3, n) * n)
+    if total % 120:
+        raise InternalInconsistencyError(f"Burnside sum {total} at n={n}")
+    return total // 120
+
+
+def all_characters(n):
+    """Every character of (Z/n)^5 once, in ascending order."""
+    return (Character(n, a) for a in product(range(n), repeat=5))
+
+
+# ---------------------------------------------------------------------------
+# Problem keys of whole blocks of characters
+
+# Row i is the class of the line PAIRS[i], as (ell, e1, e2, e3, e4).
+CLASS_MATRIX = np.array([class_of(p).as_tuple() for p in PAIRS], dtype=np.int64)
+_QUADRANGLE = np.array([5 not in p for p in PAIRS], dtype=np.int64)
+# Column j sums a1..a6 over the three lines through the j-th point.
+_POINT_SUMS = np.array([(0, 1, 1, 1, 0, 0), (1, 0, 1, 0, 1, 0),
+                        (1, 1, 0, 0, 0, 1), (0, 0, 0, 1, 1, 1)],
+                       dtype=np.int64).T
+_MASK_BITS = 1 << np.arange(len(PAIRS), dtype=np.int64)
+
+
+def _shape_index(lead, four):
+    """lead * 81 plus the base-3 value of four, whose entries are 0..2."""
+    return lead * 81 + four @ np.array([27, 9, 3, 1])
+
+
+def _table(leads, values):
+    """values[(lead, sorted four)] at every shape index, in index order;
+    -1 where values has no entry."""
+    return np.array([values.get((lead, tuple(sorted(four))), -1)
+                     for lead in range(leads)
+                     for four in product(range(3), repeat=4)], dtype=np.int64)
+
+
+# _CASE_BY_TWIST by the twist (ell + 3, e + 1), and _CASE_PATTERNS by
+# (exceptional total, point excesses) / n, as lookup arrays.
+_CASE_OF_TWIST = _table(6, {(ell + 3, tuple(x + 1 for x in e)): case
+                            for (ell, e), case in _CASE_BY_TWIST.items()})
+_CASE_OF_PATTERN = _table(4, {(total, excess): case
+                              for case, (excess, total) in _CASE_PATTERNS.items()})
+
+
+def _check_rows(digits, n, what, *checks):
+    """Raise for the first row where any check array is nonzero."""
+    for check in checks:
+        if check.any():
+            row = np.argmax(check.reshape(len(digits), -1).any(axis=1))
+            a = tuple(digits[row].tolist())
+            raise InternalInconsistencyError(f"{what} for {Character(n, a)}")
+
+
+def problem_keys(digits, n):
+    """One integer key per row of an (m, 5) array of residues in [0, n):
+    the row's log-pole set and twist, as geometry_of derives them.
+
+    Every check of geometry_of runs on every row, the agreement of the two
+    eigenclass routes included, and InternalInconsistencyError is raised
+    where geometry_of would raise.  Bit i of a key is set when the line
+    PAIRS[i] carries a logarithmic pole; decode_key unpacks a key.
+    """
+    loops = _loops(digits, n)
+
+    # Route one: the eigensheaf class reconstructed line by line.
+    total = loops @ CLASS_MATRIX
+    eigen = total // n
+
+    # Route two: the closed carry formulas, point by point.
+    residue_sum = digits.sum(axis=1)
+    a = np.column_stack((digits, -residue_sum % n))
+    quad_total = residue_sum + a[:, 5]
+    sigmas = a @ _POINT_SUMS
+    excess = sigmas - sigmas % n
+    exc_total = loops @ (1 - _QUADRANGLE)
+
+    _check_rows(digits, n, "eigenclass routes disagree",
+                total % n,
+                quad_total % n,
+                quad_total - loops @ _QUADRANGLE,
+                (excess < 0) | (excess > 2 * n),
+                excess.sum(axis=1) - (2 * quad_total - exc_total),
+                eigen[:, 0] - quad_total // n,
+                eigen[:, 1:] + excess // n)
+
+    # The twist is the canonical class (-3, 1, 1, 1, 1) plus the eigenclass.
+    twist = _shape_index(eigen[:, 0], eigen[:, 1:] + 2)
+    case = _CASE_OF_TWIST[twist]
+    pattern = _CASE_OF_PATTERN[_shape_index(exc_total // n, excess // n)]
+    _check_rows(digits, n, "twist case inconsistent",
+                (residue_sum != 0) & ((case < 0) | (pattern != case)))
+
+    return (loops != n - 1) @ _MASK_BITS + (twist << len(PAIRS))
+
+
+def decode_key(key):
+    """(log-pole set, twist class) of a problem_keys key."""
+    mask, twist = key % (1 << len(PAIRS)), key >> len(PAIRS)
+    logset = frozenset(p for i, p in enumerate(PAIRS) if mask >> i & 1)
+    e = tuple(twist // 3 ** k % 3 - 1 for k in (3, 2, 1, 0))
+    return logset, DivisorClass(twist // 81 - 3, e)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from . import cb_arrangements as cb
 from . import replay as replay_mod
 from . import reports
 from .characters import (
+    all_characters,
     geometry_of,
     orbit_representatives,
     rank_exception_classify,
-    weighted_characters,
 )
 from .invariants import (
     character_invariant_suite,
@@ -38,10 +38,11 @@ from .registry import (
 )
 from .vanishing import ProofEngine, problem_of
 
-# Largest exponent rigidity accepts.  Time and memory grow as n^5, mostly
-# for the n^5/120 orbit representatives: on a 2-vCPU machine n = 30 takes
-# about 40 s with a 120 MB peak and n = 40 about 150 s with 280 MB, so a
-# larger n is refused before any work starts.
+# Largest exponent rigidity accepts.  Time grows as n^5, for the survivor
+# filter in orbit mode and for the problem keys of every character with
+# --full; both sweep fixed-size blocks of characters, so the peak RSS stays
+# below 80 MB.  On a 2-vCPU machine n = 40 takes about 27 s in orbit mode
+# and 82 s with --full, so a larger n is refused before any work starts.
 MAX_EXPONENT = 40
 
 # Largest exponent checks accepts.  Its rank-exception and invariant sweeps
@@ -120,10 +121,10 @@ def build_parser() -> _Parser:
     mode.add_argument(
         "--orbits",
         action="store_true",
-        help="one proof per symmetry orbit (default)",
+        help="key one character per symmetry orbit, weighted by orbit size (default)",
     )
     mode.add_argument(
-        "--full", action="store_true", help="prove every character individually"
+        "--full", action="store_true", help="key every character; the same report"
     )
     # --jobs has no effect: full mode runs in one process.  It still parses,
     # with its positivity check, so existing command lines keep working.
@@ -206,7 +207,7 @@ def _cmd_invariants(parser, args) -> int:
 
 def _rank_exception_sweep(n: int) -> tuple:
     checked = failures = 0
-    for psi, _ in weighted_characters(n, orbits=False):
+    for psi in all_characters(n):
         if psi.is_zero:
             continue
         exc = rank_exception_classify(psi)

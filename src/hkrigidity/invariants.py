@@ -17,11 +17,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+import numpy as np
+
 from .characters import (
+    Character,
     InternalInconsistencyError,
+    all_characters,
+    code_blocks,
     geometry_of,
-    orbit_representatives,
-    weighted_characters,
+    orbit_count,
+    problem_keys,
+    survivor_blocks,
 )
 from .picard import PAIRS, ZERO, class_of, make_pair, overlap_intersection
 from .registry import Registry, default_registry, digest
@@ -30,7 +36,7 @@ from .vanishing import (
     canonical_problem,
     certificate_chain,
     chi_log,
-    problem_of,
+    problem_of_key,
     rules_used,
 )
 
@@ -94,26 +100,46 @@ def euler_by_stratification(n: int) -> int:
     return e_complement * n**5 + e_lines_open * n**4 + nodes * n**3
 
 
-def problem_histogram(characters) -> dict:
-    """Map each distinct problem of (Character, weight) pairs to [total
-    weight, least character].  The pairs come in ascending order, so the
-    first character seen for a problem is its least."""
-    hist: dict = {}
-    for psi, weight in characters:
-        prob = problem_of(psi)
-        entry = hist.get(prob)
-        if entry is None:
-            hist[prob] = [weight, psi]
-        else:
-            entry[0] += weight
-    return hist
+def _tally(keys, weights, codes, digits):
+    """Reduce rows in ascending code order to one per distinct key: the key,
+    its total weight, and the code and digits of its first row."""
+    keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    totals = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(totals, inverse, weights)
+    return keys, totals, codes[first], digits[first]
+
+
+def problem_histogram(n: int, orbits: bool = True) -> dict:
+    """Map each distinct problem of the n^5 characters to [character count,
+    least character], in ascending order of the least character.
+
+    Full mode keys every character; orbit mode keys the least character of
+    each symmetry orbit, weighted by orbit size, and checks the number of
+    orbits against the Burnside count.  Keys are computed a block at a time
+    by characters.problem_keys, and each block is folded into the tally of
+    the earlier ones, so a key's first row stays its least character.
+    """
+    tally, rows = None, 0
+    for codes, digits, weights in (survivor_blocks if orbits else code_blocks)(n):
+        block = _tally(problem_keys(digits, n), weights, codes, digits)
+        if tally is not None:
+            block = _tally(*(np.concatenate(pair) for pair in zip(tally, block)))
+        tally = block
+        rows += len(codes)
+    if orbits and rows != orbit_count(n):
+        raise InternalInconsistencyError(
+            f"{rows} orbit representatives at n={n}, Burnside count {orbit_count(n)}")
+    keys, counts, codes, digits = tally
+    order = np.argsort(codes)
+    return {problem_of_key(key, n): [count, Character(n, tuple(row))]
+            for key, count, row in zip(keys[order].tolist(), counts[order].tolist(),
+                                       digits[order].tolist())}
 
 
 def chi_theta_character_sum(n: int, orbits: bool = True) -> int:
     """Sum of chi over the twisted log problems of all n^5 characters."""
-    hist = problem_histogram(weighted_characters(n, orbits))
     return sum(weight * chi_log(prob.logset, prob.twist)
-               for prob, (weight, _) in hist.items())
+               for prob, (weight, _) in problem_histogram(n, orbits).items())
 
 
 def chi_crosscheck(n: int, orbits: bool = True) -> bool:
@@ -133,7 +159,7 @@ def character_invariant_suite(n: int) -> tuple:
     """
     failures = []
     checked = 0
-    for psi, _ in weighted_characters(n, orbits=False):
+    for psi in all_characters(n):
         digits = psi.a
         checked += 1
         geo = geometry_of(psi)
@@ -219,9 +245,7 @@ def rigidity_report(
     if registry is None:
         registry = default_registry()
 
-    characters = weighted_characters(n, orbit_mode)
-    orbit_count = len(characters) if orbit_mode else len(orbit_representatives(n))
-    hist = problem_histogram(characters)
+    hist = problem_histogram(n, orbit_mode)
 
     engine = ProofEngine(registry)
     counts: Counter = Counter()
@@ -271,7 +295,7 @@ def rigidity_report(
         n=n,
         mode="orbits" if orbit_mode else "full",
         total_characters=n**5,
-        orbit_count=orbit_count,
+        orbit_count=orbit_count(n),
         tally=tally,
         rigid=tally["nonvanishing"] == 0 and tally["unresolved"] == 0,
         unresolved_keys=tuple(sorted(unresolved)),

@@ -32,7 +32,7 @@ from .picard import (
     rank_of,
     s5_transform,
 )
-from .characters import geometry_of
+from .characters import decode_key, geometry_of
 
 
 class MalformedWitnessError(ValueError):
@@ -61,6 +61,12 @@ def problem_of(psi):
     covering surface's infinitesimal deformations."""
     g = geometry_of(psi)
     return VanishingProblem(logset=g.logset, twist=g.twist, h2_zero=psi.n >= 3)
+
+
+def problem_of_key(key, n):
+    """The problem of a characters.problem_keys key at exponent n."""
+    logset, twist = decode_key(key)
+    return VanishingProblem(logset=logset, twist=twist, h2_zero=n >= 3)
 
 
 def chi_log(logset, twist):

@@ -5,8 +5,10 @@ import pytest
 
 from hkrigidity.characters import (
     CASE_TRIVIAL,
+    FILTER_PREFIX,
     Character,
     geometry_of,
+    orbit_count,
     orbit_representatives,
     rank_exception_classify,
     s5_act,
@@ -235,9 +237,21 @@ ORBIT_COUNTS = {2: 4, 3: 11, 4: 26, 5: 56, 6: 118, 7: 217, 8: 388, 9: 654,
 @pytest.mark.parametrize("n", sorted(ORBIT_COUNTS))
 def test_orbit_count(n):
     reps = orbit_representatives(n)
-    assert len(reps) == ORBIT_COUNTS[n]
+    assert len(reps) == ORBIT_COUNTS[n] == orbit_count(n)
     assert sum(size for _, size in reps) == n ** 5
     assert [psi.a for psi, _ in reps] == sorted(psi.a for psi, _ in reps)
+
+
+def test_burnside_formula_beyond_enumeration():
+    assert orbit_count(20) == 28354
+    assert orbit_count(40) == 866708
+
+
+def test_filter_prefix_holds_distinct_permutations():
+    # the order of the survivor filter; the representatives it leaves are
+    # pinned by test_orbit_count and brute-forced by test_orbit_representatives
+    assert len(set(FILTER_PREFIX)) == len(FILTER_PREFIX) == 8
+    assert set(FILTER_PREFIX) <= set(PERMS)
 
 
 def test_orbit_representatives_independent_of_chunk():

@@ -178,8 +178,10 @@ class TestUsageErrors:
             raise AssertionError("work started")
 
         monkeypatch.setattr(characters, "orbit_representatives", refuse)
-        monkeypatch.setattr(invariants, "orbit_representatives", refuse)
         monkeypatch.setattr(cli, "orbit_representatives", refuse)
+        for name in ("survivor_blocks", "code_blocks", "problem_keys"):
+            monkeypatch.setattr(characters, name, refuse)
+            monkeypatch.setattr(invariants, name, refuse)
         monkeypatch.setattr(cb_arrangements, "census", refuse)
         monkeypatch.setattr(cb_arrangements, "verify_propositions", refuse)
         monkeypatch.setattr(invariants, "closed_form", refuse)

@@ -1,10 +1,15 @@
 """Tests for surface invariants and the whole-surface rigidity report."""
 
-from itertools import product
-
+import numpy as np
 import pytest
 
-from hkrigidity.characters import Character, weighted_characters
+from hkrigidity import characters, invariants
+from hkrigidity.characters import (
+    InternalInconsistencyError,
+    all_characters,
+    orbit_representatives,
+    problem_keys,
+)
 from hkrigidity.invariants import (
     character_invariant_suite,
     chi_crosscheck,
@@ -14,7 +19,7 @@ from hkrigidity.invariants import (
     problem_histogram,
     rigidity_report,
 )
-from hkrigidity.vanishing import problem_of
+from hkrigidity.vanishing import problem_of, problem_of_key
 
 
 class TestClosedForms:
@@ -72,16 +77,56 @@ class TestCharacterSums:
         assert chi_theta_character_sum(5) == 5000
 
 
+def all_digits(n):
+    return np.array([psi.a for psi in all_characters(n)], dtype=np.int64)
+
+
 class TestProblemHistogram:
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_matches_brute_force_count(self, n):
+    @staticmethod
+    def check_against_problem_of(n, orbits, pairs):
         expected = {}
-        for a in product(range(n), repeat=5):
-            entry = expected.setdefault(problem_of(Character(n, a)), [0, a])
-            entry[0] += 1
-            entry[1] = min(entry[1], a)
-        hist = problem_histogram(weighted_characters(n, orbits=False))
-        assert {prob: [count, psi.a] for prob, (count, psi) in hist.items()} == expected
+        for psi, weight in pairs:
+            entry = expected.setdefault(problem_of(psi), [0, psi.a])
+            entry[0] += weight
+            entry[1] = min(entry[1], psi.a)
+        hist = problem_histogram(n, orbits)
+        got = {prob: [count, psi.a] for prob, (count, psi) in hist.items()}
+        assert got == expected
+        # problems come in order of their least character
+        assert list(got) == sorted(expected, key=lambda prob: expected[prob][1])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_brute_force_count(self, n):
+        self.check_against_problem_of(
+            n, False, ((psi, 1) for psi in all_characters(n)))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_orbit_mode_matches_per_representative_count(self, n):
+        self.check_against_problem_of(n, True, orbit_representatives(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_keys_match_problem_of_row_by_row(self, n):
+        keys = problem_keys(all_digits(n), n).tolist()
+        assert [problem_of_key(k, n) for k in keys] == [
+            problem_of(psi) for psi in all_characters(n)]
+
+    @pytest.mark.parametrize("name", ["LOOP_MATRIX", "CLASS_MATRIX"])
+    def test_perturbed_matrix_entry_raises(self, monkeypatch, name):
+        digits = all_digits(4)
+        original = getattr(characters, name)
+        for index in np.ndindex(original.shape):
+            broken = original.copy()
+            broken[index] += 1
+            monkeypatch.setattr(characters, name, broken)
+            with pytest.raises(InternalInconsistencyError):
+                problem_keys(digits, 4)
+
+    def test_orbit_mode_checks_burnside_count(self, monkeypatch):
+        burnside = invariants.orbit_count
+        monkeypatch.setattr(invariants, "orbit_count", lambda n: burnside(n) + 1)
+        with pytest.raises(InternalInconsistencyError, match="Burnside"):
+            problem_histogram(5, orbits=True)
+        problem_histogram(5, orbits=False)
 
 
 class TestInvariantSuite:
