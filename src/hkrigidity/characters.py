@@ -14,6 +14,7 @@ orbits and to compute the same log-pole sets and twists, with the same
 checks, as packed problem keys.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -25,6 +26,7 @@ from .picard import (
     CANONICAL,
     PAIRS,
     PERMS,
+    ZERO,
     DivisorClass,
     class_of,
     make_pair,
@@ -172,9 +174,7 @@ def geometry_of(psi):
     loops = {p: psi.loop(p) for p in PAIRS}
 
     # Route one: the eigensheaf class reconstructed line by line.
-    total = DivisorClass(0, (0, 0, 0, 0))
-    for p in PAIRS:
-        total = total + loops[p] * class_of(p)
+    total = sum((loops[p] * class_of(p) for p in PAIRS), ZERO)
     if any(x % n for x in total.as_tuple()):
         raise InternalInconsistencyError(
             f"loop-weighted class sum not divisible by n for {psi}")
@@ -386,14 +386,19 @@ def _check_rows(digits, n, what, *checks):
             raise InternalInconsistencyError(f"{what} for {Character(n, a)}")
 
 
-def problem_keys(digits, n):
-    """One integer key per row of an (m, 5) array of residues in [0, n):
-    the row's log-pole set and twist, as geometry_of derives them.
+BlockGeometry = namedtuple(
+    "BlockGeometry", "loops total eigen quad_total excess exc_total twist")
+
+
+def block_geometry(digits, n):
+    """geometry_of's data for every row of an (m, 5) array of residues in
+    [0, n), as a BlockGeometry of arrays with one row per character: total
+    is the loop-weighted class sum (n times the eigenclass, by route one)
+    and twist the twist's shape index.
 
     Every check of geometry_of runs on every row, the agreement of the two
-    eigenclass routes included, and InternalInconsistencyError is raised
-    where geometry_of would raise.  Bit i of a key is set when the line
-    PAIRS[i] carries a logarithmic pole; decode_key unpacks a key.
+    eigenclass routes and the twist case included, and
+    InternalInconsistencyError is raised where geometry_of would raise.
     """
     loops = _loops(digits, n)
 
@@ -425,7 +430,15 @@ def problem_keys(digits, n):
     _check_rows(digits, n, "twist case inconsistent",
                 (residue_sum != 0) & ((case < 0) | (pattern != case)))
 
-    return (loops != n - 1) @ _MASK_BITS + (twist << len(PAIRS))
+    return BlockGeometry(loops, total, eigen, quad_total, excess, exc_total, twist)
+
+
+def problem_keys(digits, n):
+    """The log-pole set and twist of each row of block_geometry(digits, n),
+    packed into one integer: bit i is set when the line PAIRS[i] carries a
+    logarithmic pole.  decode_key unpacks a key."""
+    geo = block_geometry(digits, n)
+    return (geo.loops != n - 1) @ _MASK_BITS + (geo.twist << len(PAIRS))
 
 
 def decode_key(key):
@@ -503,20 +516,11 @@ def rank_exception_classify(psi):
             if all(j not in p for p in lines):
                 predicted = None
                 if n == 4:
-                    inside = DivisorClass(0, (0, 0, 0, 0))
-                    for p in lines:
-                        inside = inside + class_of(p)
-                    candidates = []
-                    for q in PAIRS:
-                        if q in logset:
-                            continue
-                        cq = class_of(q)
-                        if pairing(cq, inside) != 2:
-                            continue
-                        for b in lines:
-                            if overlap_intersection(q, b) == 0:
-                                candidates.append(cq - class_of(b))
-                    predicted = tuple(candidates)
+                    inside = sum(map(class_of, lines), ZERO)
+                    predicted = tuple(
+                        class_of(q) - class_of(b) for q in PAIRS
+                        if q not in logset and pairing(class_of(q), inside) == 2
+                        for b in lines if overlap_intersection(q, b) == 0)
                 return RankException("fiber5", lines, j, predicted)
 
     raise ClassificationError(

@@ -20,16 +20,16 @@ from typing import Optional
 import numpy as np
 
 from .characters import (
+    EXCEPTIONAL_PAIRS,
     Character,
     InternalInconsistencyError,
-    all_characters,
+    block_geometry,
     code_blocks,
-    geometry_of,
     orbit_count,
     problem_keys,
     survivor_blocks,
 )
-from .picard import PAIRS, ZERO, class_of, make_pair, overlap_intersection
+from .picard import PAIRS, DivisorClass, overlap_intersection
 from .registry import Registry, default_registry, digest
 from .vanishing import (
     ProofEngine,
@@ -155,31 +155,32 @@ def character_invariant_suite(n: int) -> tuple:
     excess lies in {0, n, 2n}; the exceptional loop total lies in [0, 3n]
     and balances the excesses; n times the eigensheaf class reconstructs
     from the loop values; and a double excess forces a pole on the matching
-    exceptional curve.
+    exceptional curve.  The checks run as arrays over the block_geometry of
+    each block of characters, and only failing rows are described.
     """
     failures = []
-    checked = 0
-    for psi in all_characters(n):
-        digits = psi.a
-        checked += 1
-        geo = geometry_of(psi)
-        F, S = geo.quad_total, geo.exc_total
-        if F % n or not 0 <= F <= 5 * n:
-            failures.append(f"{digits}: quadrangle total {F} out of range")
-        if any(lam not in (0, n, 2 * n) for lam in geo.point_excess):
-            failures.append(f"{digits}: point excess {geo.point_excess}")
-        if not 0 <= S <= 3 * n or 2 * F - S != sum(geo.point_excess):
-            failures.append(f"{digits}: exceptional total {S} unbalanced")
-        recon = ZERO
-        for p in PAIRS:
-            recon = recon + psi.loop(p) * class_of(p)
-        target = n * geo.eigenclass
-        if recon != target:
-            failures.append(f"{digits}: reconstruction {recon} != {target}")
-        for i, lam in enumerate(geo.point_excess, start=1):
-            if lam == 2 * n and psi.loop(make_pair(i, 5)) == n - 1:
-                failures.append(f"{digits}: double excess without pole at {i}")
-    return checked, tuple(failures)
+    poles = [PAIRS.index(p) for p in EXCEPTIONAL_PAIRS]
+    for _, digits, _ in code_blocks(n):
+        geo = block_geometry(digits, n)
+        F, S, excess, target = geo.quad_total, geo.exc_total, geo.excess, n * geo.eigen
+        bad = np.column_stack((
+            (F % n != 0) | (F < 0) | (F > 5 * n),
+            ((excess % n != 0) | (excess < 0) | (excess > 2 * n)).any(axis=1),
+            (S < 0) | (S > 3 * n) | (2 * F - S != excess.sum(axis=1)),
+            (geo.total != target).any(axis=1),
+            (excess == 2 * n) & (geo.loops[:, poles] == n - 1)))
+        for row in np.flatnonzero(bad.any(axis=1)).tolist():
+            a = tuple(digits[row].tolist())
+            recon, want = (DivisorClass.from_tuple(x[row].tolist())
+                           for x in (geo.total, target))
+            messages = (
+                f"{a}: quadrangle total {F[row]} out of range",
+                f"{a}: point excess {tuple(excess[row].tolist())}",
+                f"{a}: exceptional total {S[row]} unbalanced",
+                f"{a}: reconstruction {recon} != {want}",
+                *(f"{a}: double excess without pole at {i}" for i in range(1, 5)))
+            failures.extend(m for m, b in zip(messages, bad[row].tolist()) if b)
+    return n ** 5, tuple(failures)
 
 
 @dataclass(frozen=True)

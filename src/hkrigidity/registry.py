@@ -118,7 +118,7 @@ def loads(text):
                 raise ValueError("expected a twist of 5 integers and poles "
                                  "that are pairs of integers")
             logset = tuple(make_pair(i, j) for i, j in poles)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise RegistryFormatError(f"line {lineno}: {exc}") from exc
         if list(logset) != sorted(set(logset)):
             raise RegistryFormatError(f"line {lineno}: pole set not sorted")

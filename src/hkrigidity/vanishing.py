@@ -20,10 +20,12 @@ independent checker; the search is never trusted.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .picard import (
     PAIRS,
     PERMS,
+    ZERO,
     DivisorClass,
     class_of,
     make_pair,
@@ -205,13 +207,12 @@ def gvt_check(prob, a_lines, b_lines):
 
 
 def _class_sum(pairs):
-    total = DivisorClass(0, (0, 0, 0, 0))
-    for p in pairs:
-        total = total + class_of(p)
-    return total
+    return sum(map(class_of, pairs), ZERO)
 
 
-def _build_subset_sums():
+@cache
+def _subset_sums():
+    """Line bitmasks by the class sum of their lines, built on first use."""
     sums = {}
     for mask in range(1 << len(PAIRS)):
         total = _class_sum(PAIRS[k] for k in range(len(PAIRS)) if mask >> k & 1)
@@ -219,7 +220,6 @@ def _build_subset_sums():
     return {key: tuple(masks) for key, masks in sums.items()}
 
 
-_SUBSET_SUMS = _build_subset_sums()
 _PAIR_BIT = {p: k for k, p in enumerate(PAIRS)}
 
 
@@ -241,7 +241,7 @@ def gvt_search(prob):
         b_bits = 0
         for p in b:
             b_bits |= 1 << _PAIR_BIT[p]
-        for amask in _SUBSET_SUMS.get(target, ()):
+        for amask in _subset_sums().get(target, ()):
             if amask & b_bits:
                 continue
             a = _mask_pairs(amask)

@@ -15,6 +15,7 @@ import pytest
 
 import hkrigidity
 from hkrigidity import cb_arrangements, characters, cli, invariants
+from hkrigidity.characters import all_characters, geometry_of, rank_exception_classify
 from hkrigidity.cli import (
     MAX_CB_LEVEL,
     MAX_CHECKS_EXPONENT,
@@ -112,6 +113,18 @@ class TestRigidity:
         )
         assert done.stdout.strip() == "False"
 
+    def test_witness_table_is_built_on_first_use(self):
+        src = os.path.dirname(os.path.dirname(hkrigidity.__file__))
+        probe = ("import hkrigidity.cli; from hkrigidity import registry, vanishing; "
+                 "registry.default_registry(); "
+                 "print(vanishing._subset_sums.cache_info().currsize)")
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "0"
+
     def test_explicit_registry_path(self, capsys, tmp_path):
         target = tmp_path / "axioms.txt"
         target.write_text(default_registry_text(), encoding="utf-8")
@@ -125,8 +138,11 @@ class TestRigidity:
         expected = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert payload["registry_digest"] == expected
 
-    @pytest.mark.parametrize("content", [None, b"garbage\n", b"\xff\xfe\n"],
-                             ids=["missing", "garbage", "not-utf8"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"garbage\n", b"\xff\xfe\n",
+         b"id=x\tlogset=" + b"[" * 100_000 + b"\ttwist=[0,0,0,0,0]\tjustification=x\n"],
+        ids=["missing", "garbage", "not-utf8", "deeply-nested"])
     def test_unreadable_registry_is_usage_error(self, capsys, tmp_path, content):
         target = tmp_path / "axioms.txt"
         if content is not None:
@@ -179,7 +195,7 @@ class TestUsageErrors:
 
         monkeypatch.setattr(characters, "orbit_representatives", refuse)
         monkeypatch.setattr(cli, "orbit_representatives", refuse)
-        for name in ("survivor_blocks", "code_blocks", "problem_keys"):
+        for name in ("survivor_blocks", "code_blocks", "problem_keys", "block_geometry"):
             monkeypatch.setattr(characters, name, refuse)
             monkeypatch.setattr(invariants, name, refuse)
         monkeypatch.setattr(cb_arrangements, "census", refuse)
@@ -244,6 +260,35 @@ class TestChecks:
         code, out = run(capsys, ["checks", "--n-range", "4..4", "--inject-fault"])
         assert code == 1
         assert "[FAIL] intersection_table" in out
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_rank_exception_sweep_matches_per_character_count(self, n):
+        checked = failures = 0
+        for psi in all_characters(n):
+            if psi.is_zero:
+                continue
+            exc = rank_exception_classify(psi)
+            if exc is None:
+                continue
+            checked += 1
+            if (exc.predicted_twists is not None
+                    and geometry_of(psi).twist not in exc.predicted_twists):
+                failures += 1
+        assert checked > 0
+        assert cli._rank_exception_sweep(n) == (checked, failures)
+
+    def test_rank_exception_sweep_weights_by_character_count(self, monkeypatch):
+        # every deficient problem has one character at these exponents, so
+        # scale the counts to see the weighting
+        real = cli.problem_histogram
+
+        def tripled(n, orbits):
+            return {prob: [3 * count, psi]
+                    for prob, (count, psi) in real(n, orbits).items()}
+
+        expected = tuple(3 * x for x in cli._rank_exception_sweep(4))
+        monkeypatch.setattr(cli, "problem_histogram", tripled)
+        assert cli._rank_exception_sweep(4) == expected
 
     def test_json_payload(self, capsys):
         code, out = run(capsys, ["checks", "--n-range", "4..4", "--json"])

@@ -120,6 +120,17 @@ def test_loads_rejects_malformed_lines():
             loads(mangled)
 
 
+def test_loads_rejects_deeply_nested_json():
+    # json.loads gives up on deep nesting with RecursionError, not ValueError
+    for field in ("logset", "twist"):
+        values = {"id": "x", "logset": "[]", "twist": "[0,0,0,0,0]",
+                  "justification": "x"}
+        values[field] = "[" * 100_000
+        line = "\t".join(f"{k}={v}" for k, v in values.items())
+        with pytest.raises(RegistryFormatError, match="line 1"):
+            loads(line + "\n")
+
+
 def test_loads_rejects_unsorted_entries():
     text = default_registry_text()
     lines = text.splitlines(keepends=True)
