@@ -8,10 +8,10 @@ the character's eigensheaf, the twist used by the vanishing engine, the
 set of lines carrying logarithmic poles, and a 17-case classification of
 the twist vector.
 
-Everything is exact integer arithmetic.  geometry_of works on one
-character; numpy sweeps whole blocks of characters, to enumerate symmetry
-orbits and to compute the same log-pole sets and twists, with the same
-checks, as packed problem keys.
+Everything is exact integer arithmetic.  numpy sweeps whole blocks of
+characters into symmetry orbits and packed problem keys, with every check of
+geometry_of; geometry_of and the other per-character functions are the oracle
+that tests and the benchmark hold the sweeps against, and no subcommand calls them.
 """
 
 from collections import namedtuple
@@ -24,6 +24,7 @@ import numpy as np
 
 from .picard import (
     CANONICAL,
+    LINE_CLASSES,
     PAIRS,
     PERMS,
     ZERO,
@@ -64,8 +65,10 @@ LOOP_FORMS = {
     (3, 5): (0, 0, -1, -1, -1),
 }
 
-# Row i is the loop form of the line PAIRS[i].
+# Row i is the loop form of the line PAIRS[i]; _CLASS_COLUMNS[k] holds
+# coordinate k of the lines' classes, in the same order.
 LOOP_MATRIX = np.array([LOOP_FORMS[p] for p in PAIRS], dtype=np.int64)
+_CLASS_COLUMNS = tuple(zip(*(LINE_CLASSES[p].as_tuple() for p in PAIRS)))
 
 QUADRANGLE_PAIRS = tuple(p for p in PAIRS if 5 not in p)
 EXCEPTIONAL_PAIRS = tuple(p for p in PAIRS if 5 in p)
@@ -171,14 +174,14 @@ class CharacterGeometry:
 
 def geometry_of(psi):
     n = psi.n
-    loops = {p: psi.loop(p) for p in PAIRS}
+    loops = {p: sum(c * x for c, x in zip(LOOP_FORMS[p], psi.a)) % n for p in PAIRS}
 
     # Route one: the eigensheaf class reconstructed line by line.
-    total = sum((loops[p] * class_of(p) for p in PAIRS), ZERO)
-    if any(x % n for x in total.as_tuple()):
+    total = [sum(l * c for l, c in zip(loops.values(), col)) for col in _CLASS_COLUMNS]
+    if any(x % n for x in total):
         raise InternalInconsistencyError(
             f"loop-weighted class sum not divisible by n for {psi}")
-    eigenclass = DivisorClass.from_tuple(tuple(x // n for x in total.as_tuple()))
+    eigenclass = DivisorClass.from_tuple(tuple(x // n for x in total))
 
     # Route two: the closed carry formulas, point by point.
     a1, a2, a3, a4, a5 = psi.a
@@ -475,15 +478,18 @@ class RankException:
 
 
 def rank_exception_classify(psi):
-    """Classify the log-pole set when its classes do not span the lattice.
+    """classify_logset of the character's log-pole set at its modulus."""
+    if psi.is_zero:
+        raise ValueError("zero character carries no classification")
+    return classify_logset(geometry_of(psi).logset, psi.n)
+
+
+def classify_logset(logset, n):
+    """Classify a log-pole set at modulus n whose classes do not span.
 
     Returns None for full rank.  For deficient sets returns the matching
     shape descriptor; a deficient set matching no shape is an error.
     """
-    if psi.is_zero:
-        raise ValueError("zero character carries no classification")
-    n = psi.n
-    logset = geometry_of(psi).logset
     if rank_of([class_of(p) for p in logset]) == 5:
         return None
     lines = tuple(sorted(logset))

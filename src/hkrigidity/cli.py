@@ -14,10 +14,12 @@ import sys
 import time
 from functools import lru_cache
 
+import numpy as np
+
 from . import cb_arrangements as cb
 from . import replay as replay_mod
 from . import reports
-from .characters import orbit_representatives, rank_exception_classify
+from .characters import classify_logset, problem_keys, survivor_blocks
 from .invariants import (
     character_invariant_suite,
     chi_crosscheck,
@@ -32,7 +34,7 @@ from .registry import (
     default_registry,
     load_path,
 )
-from .vanishing import ProofEngine, problem_of
+from .vanishing import ProofEngine, problem_of_key
 
 # Largest exponent rigidity accepts.  Time grows as n^5, for the survivor
 # filter in orbit mode and for the problem keys of every character with
@@ -41,10 +43,11 @@ from .vanishing import ProofEngine, problem_of
 # and 82 s with --full, so a larger n is refused before any work starts.
 MAX_EXPONENT = 40
 
-# Largest exponent checks accepts.  Its sweeps key numpy blocks; its replay
-# proves each orbit representative one by one.  On a 2-vCPU machine 8..8 takes
-# about 0.7 s (52 MB peak RSS), and n = 16 about 4.5 s, 2.7 s of it replay.
-# The bound stays 8, so the refusal tests and CI keep their 4..9 input.
+# Largest exponent checks accepts.  Its two sweeps key all n^5 characters in
+# numpy blocks, and its replay proves each distinct problem once.  On a 2-vCPU
+# machine 8..8 takes about 0.5 s (53 MB peak RSS), and n = 16 about 2.2 s in
+# process, 1.5 s of it the sweeps.  The bound stays 8, so the refusal tests
+# and CI keep their 4..9 input.
 MAX_CHECKS_EXPONENT = 8
 
 # Largest level cb accepts.  The census and the proposition check grow
@@ -203,14 +206,12 @@ def _cmd_invariants(parser, args) -> int:
 
 
 # A rank exception depends only on the log-pole set and n, and its prediction
-# only on the twist: each distinct problem is classified once, on its least
-# character, and counts for all of its characters.
+# only on the twist, so each distinct problem counts for all of its characters.
+# The zero character's log-pole set, all ten lines, has full rank.
 def _rank_exception_sweep(n: int) -> tuple:
     checked = failures = 0
-    for prob, (count, psi) in problem_histogram(n, orbits=False).items():
-        if psi.is_zero:
-            continue
-        exc = rank_exception_classify(psi)
+    for prob, (count, _) in problem_histogram(n, orbits=False).items():
+        exc = classify_logset(prob.logset, n)
         if exc is None:
             continue
         checked += count
@@ -231,17 +232,10 @@ def _cmd_checks(parser, args) -> int:
     t0 = time.perf_counter()
     table = replay_mod.build_table()
     if args.inject_fault:
-        key = next(iter(sorted(table)))
-        table = dict(table)
-        table[key] += 1
-    table_ok = replay_mod.validate_table(table)
-    results.append(
-        (
-            "intersection_table",
-            table_ok,
-            "100 products recomputed" if table_ok else "table entry mismatch",
-        )
-    )
+        table[min(table)] += 1
+    ok = replay_mod.validate_table(table)
+    detail = "100 products recomputed" if ok else "table entry mismatch"
+    results.append(("intersection_table", ok, detail))
 
     dep = verify_dependencies()
     results.append(
@@ -274,18 +268,21 @@ def _cmd_checks(parser, args) -> int:
     )
     results.append(("euler_and_noether", ok, "n in 2..20"))
 
+    # Each distinct problem of the orbit representatives of min(ns) is proved
+    # and replayed once, and counts for all of its representatives.
+    m = min(ns)
+    keys = np.concatenate([problem_keys(rows, m) for _, rows, _ in survivor_blocks(m)])
     registry = default_registry()
     engine = ProofEngine(registry)
     replayed = failed = 0
-    for psi, _ in orbit_representatives(min(ns)):
-        prob = problem_of(psi)
+    for key, count in zip(*(a.tolist() for a in np.unique(keys, return_counts=True))):
+        prob = problem_of_key(key, m)
         cert = engine.prove(prob)
         if cert.kind == "unresolved":
             continue
-        res = replay_mod.replay(prob, cert, table=None, registry=registry)
-        replayed += 1
-        if not res.ok:
-            failed += 1
+        replayed += count
+        if not replay_mod.replay(prob, cert, registry=registry).ok:
+            failed += count
     results.append(
         ("certificate_replay", failed == 0, f"{replayed} replayed, {failed} failed")
     )

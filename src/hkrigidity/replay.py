@@ -3,10 +3,11 @@
 This module re-validates every certificate the proof engine emits while
 sharing none of its arithmetic: line classes, intersection numbers, Euler
 characteristics and lattice ranks are recomputed from first principles
-here.  Line-by-line intersection numbers flow through an injectable
-table, so a corrupted table (a single flipped entry suffices) makes
-replay fail; `build_table` produces the honest one, which replay builds
-and validates once and then holds read-only.
+here.  Line-by-line intersection numbers come from one table:
+`build_table` computes it from the class vectors, and `validate_table`
+compares every entry with the pair-overlap rule, a second route that
+shares no code with the first.  Replay builds and validates the table
+once, on first use, and holds it read-only from then on.
 """
 
 from dataclasses import dataclass
@@ -64,12 +65,12 @@ def build_table():
 
 
 def validate_table(table):
-    """True when the table is exactly the honest one (all 100 ordered
-    entries present with correct values)."""
+    """True when all 100 ordered entries are present and each equals the
+    pair-overlap rule: -1 for the same pair, 0 for pairs sharing one index
+    (disjoint lines), 1 for disjoint pairs (lines meeting in a point)."""
     if set(table) != {(p, q) for p in ALL_PAIRS for q in ALL_PAIRS}:
         return False
-    return all(table[(p, q)] == form_product(line_vector(p), line_vector(q))
-               for p, q in table)
+    return all(table[(p, q)] == (1, 0, -1)[len(set(p) & set(q))] for p, q in table)
 
 
 def matrix_rank(vectors):
@@ -115,27 +116,22 @@ def chi_of(problem):
     return total
 
 
-def replay(problem, cert, table=None, registry=None):
-    """Re-validate a certificate against its problem from scratch.  A
-    caller-supplied table is validated on every call."""
-    if table is None:
-        table = _honest_table()
-    elif not validate_table(table):
-        return _fail("intersection table fails validation")
-    return _replay(problem, cert, table, registry)
+def replay(problem, cert, registry=None):
+    """Re-validate a certificate against its problem from scratch."""
+    return _replay(problem, cert, registry)
 
 
 @cache
 def _honest_table():
-    """The default table, built and validated on first use and read-only
-    from then on."""
+    """The intersection table, built and validated on first use and
+    read-only from then on."""
     table = build_table()
     if not validate_table(table):
         raise ReplayError("the built intersection table fails validation")
     return MappingProxyType(table)
 
 
-def _replay(problem, cert, table, registry):
+def _replay(problem, cert, registry):
     if isinstance(cert, NonVanishing):
         if not problem.h2_zero:
             return _fail("non-vanishing needs the h2 axiom")
@@ -147,7 +143,7 @@ def _replay(problem, cert, table, registry):
         return ReplayResult(True)
 
     if isinstance(cert, GvtWitness):
-        return _replay_gvt(problem, cert, table)
+        return _replay_gvt(problem, cert)
 
     if isinstance(cert, DropLines):
         twist = problem.twist.as_tuple()
@@ -161,7 +157,7 @@ def _replay(problem, cert, table, registry):
                 return _fail(f"removed line {p} does not meet the twist in -1")
         reduced = VanishingProblem(problem.logset - removed, problem.twist,
                                    problem.h2_zero)
-        return _replay(reduced, cert.inner, table, registry)
+        return _replay(reduced, cert.inner, registry)
 
     if isinstance(cert, ExternalAxiom):
         if registry is None:
@@ -177,7 +173,8 @@ def _replay(problem, cert, table, registry):
     raise ReplayError(f"not a replayable certificate: {cert!r}")
 
 
-def _replay_gvt(problem, cert, table):
+def _replay_gvt(problem, cert):
+    table = _honest_table()
     a_lines = tuple(cert.a_lines)
     b_lines = tuple(cert.b_lines)
     aset, bset = set(a_lines), set(b_lines)

@@ -3,10 +3,14 @@ from itertools import product
 
 import pytest
 
+from hkrigidity import characters
 from hkrigidity.characters import (
     CASE_TRIVIAL,
     FILTER_PREFIX,
+    LOOP_FORMS,
     Character,
+    InternalInconsistencyError,
+    classify_logset,
     geometry_of,
     orbit_count,
     orbit_representatives,
@@ -120,6 +124,28 @@ def test_geometry_ranges_and_identities(n):
         for i in range(4):
             if g.point_excess[i] == 2 * n:
                 assert psi.loop((i + 1, 5)) != n - 1
+
+
+def test_perturbed_line_row_raises(monkeypatch):
+    # every loop-form entry and every class coordinate enters a check
+    chars = list(all_characters(4))
+
+    def assert_some_character_raises():
+        with pytest.raises(InternalInconsistencyError):
+            for psi in chars:
+                geometry_of(psi)
+        monkeypatch.undo()
+
+    for i, p in enumerate(PAIRS):
+        for k in range(5):
+            form = list(LOOP_FORMS[p])
+            form[k] += 1
+            monkeypatch.setitem(LOOP_FORMS, p, tuple(form))
+            assert_some_character_raises()
+            columns = [list(col) for col in characters._CLASS_COLUMNS]
+            columns[k][i] += 1
+            monkeypatch.setattr(characters, "_CLASS_COLUMNS", tuple(map(tuple, columns)))
+            assert_some_character_raises()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -299,6 +325,14 @@ def test_rank_exception_fiber5_n4():
 
 def test_rank_exception_none_for_full_rank():
     assert rank_exception_classify(Character(5, (1, 2, 3, 1, 2))) is None
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_zero_character_logset_has_full_rank(n):
+    # the rank sweep classifies the zero character's problem with the rest
+    logset = geometry_of(Character(n, (0, 0, 0, 0, 0))).logset
+    assert logset == frozenset(PAIRS)
+    assert classify_logset(logset, n) is None
 
 
 @pytest.mark.parametrize("n,kinds", [

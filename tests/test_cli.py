@@ -11,10 +11,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hkrigidity
-from hkrigidity import cb_arrangements, characters, cli, invariants
+from hkrigidity import cb_arrangements, characters, cli, invariants, registry, vanishing
+from hkrigidity import replay as replay_mod
 from hkrigidity.characters import all_characters, geometry_of, rank_exception_classify
 from hkrigidity.cli import (
     MAX_CB_LEVEL,
@@ -194,7 +196,8 @@ class TestUsageErrors:
             raise AssertionError("work started")
 
         monkeypatch.setattr(characters, "orbit_representatives", refuse)
-        monkeypatch.setattr(cli, "orbit_representatives", refuse)
+        monkeypatch.setattr(cli, "survivor_blocks", refuse)
+        monkeypatch.setattr(cli, "problem_keys", refuse)
         for name in ("survivor_blocks", "code_blocks", "problem_keys", "block_geometry"):
             monkeypatch.setattr(characters, name, refuse)
             monkeypatch.setattr(invariants, name, refuse)
@@ -290,6 +293,22 @@ class TestChecks:
         monkeypatch.setattr(cli, "problem_histogram", tripled)
         assert cli._rank_exception_sweep(4) == expected
 
+    def test_replay_runs_once_per_distinct_problem(self, capsys, monkeypatch):
+        problems = []
+        real = replay_mod.replay
+
+        def counted(prob, *args, **kwargs):
+            problems.append(prob)
+            return real(prob, *args, **kwargs)
+
+        monkeypatch.setattr(replay_mod, "replay", counted)
+        code, out = run(capsys, ["checks", "--n-range", "4..6"])
+        keys = np.concatenate([characters.problem_keys(digits, 4)
+                               for _, digits, _ in characters.survivor_blocks(4)])
+        assert code == 0
+        assert len(problems) == len(set(problems)) == len(np.unique(keys))
+        assert "26 replayed, 0 failed" in out
+
     def test_json_payload(self, capsys):
         code, out = run(capsys, ["checks", "--n-range", "4..4", "--json"])
         assert code == 0
@@ -364,3 +383,42 @@ class TestCb:
         with pytest.raises(SystemExit) as err:
             main(["cb", "--n-range", "1..2", "--emit-svg", str(tmp_path / "x.svg")])
         assert err.value.code == 3
+
+
+# Every subcommand and registry.derive go through the block path; these runs
+# must not reach the per-character oracle that the tests compare it with.
+ORACLE_FREE_RUNS = [
+    ["rigidity", "--n-range", "2..6", "--json"],
+    ["rigidity", "--n", "5", "--full", "--json"],
+    ["checks", "--n-range", "3..6", "--json"],
+    ["checks", "--n-range", "4..4", "--inject-fault"],
+    ["invariants", "--n", "5"],
+    ["cb", "--n", "3"],
+]
+
+
+def test_production_paths_do_not_call_the_per_character_oracle(capsys, monkeypatch):
+    expected = [run(capsys, argv) for argv in ORACLE_FREE_RUNS]
+    derived = registry.dumps(registry.derive(5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-character oracle called")
+
+    oracle = (characters.geometry_of, characters.orbit_representatives,
+              characters.all_characters, characters.rank_exception_classify,
+              vanishing.problem_of)
+    # Patch the functions in every module that holds them by name.
+    patched = set()
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "hkrigidity":
+            continue
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in oracle):
+                monkeypatch.setattr(module, name, refuse)
+                patched.add(f"{module_name}.{name}")
+    monkeypatch.setattr(characters.Character, "loop", refuse)
+    assert {"hkrigidity.characters.geometry_of", "hkrigidity.vanishing.geometry_of",
+            "hkrigidity.vanishing.problem_of"} <= patched
+
+    assert [run(capsys, argv) for argv in ORACLE_FREE_RUNS] == expected
+    assert registry.dumps(registry.derive(5)) == derived

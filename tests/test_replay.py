@@ -56,6 +56,17 @@ class TestTable:
         del table[((1, 2), (1, 2))]
         assert not validate_table(table)
 
+    def test_validate_uses_a_second_route(self, monkeypatch):
+        # a wrong class vector for one line corrupts every entry it enters;
+        # the pair-overlap rule does not read the class vectors
+        honest = build_table()
+        real = replay_mod.line_vector
+        monkeypatch.setattr(replay_mod, "line_vector",
+                            lambda pair: real((2, 4) if pair == (1, 2) else pair))
+        table = build_table()
+        assert sum(table[key] != honest[key] for key in honest) == 10
+        assert not validate_table(table)
+
     def test_rank_routine(self):
         assert matrix_rank([line_vector(p) for p in PAIRS]) == 5
         star = [line_vector((i, 5)) for i in range(1, 5)]
@@ -114,15 +125,6 @@ class TestReplayVerdicts:
         assert calls == {"build": 1, "validate": 1}
         with pytest.raises(TypeError):
             replay_mod._honest_table()[((1, 2), (3, 4))] = 0
-
-    def test_poisoned_table_rejected_before_use(self):
-        prob = problem_of(Character(4, (1, 2, 3, 0, 2)))
-        cert = self.engine.prove(prob)
-        table = build_table()
-        table[((1, 2), (3, 4))] -= 1
-        result = replay(prob, cert, table=table, registry=self.registry)
-        assert not result.ok
-        assert "table" in result.reason
 
 
 class TestTamperDetection:
