@@ -14,12 +14,10 @@ import sys
 import time
 from functools import lru_cache
 
-import numpy as np
-
 from . import cb_arrangements as cb
 from . import replay as replay_mod
 from . import reports
-from .characters import classify_logset, problem_keys, survivor_blocks
+from .characters import classify_logset
 from .invariants import (
     character_invariant_suite,
     chi_crosscheck,
@@ -29,12 +27,7 @@ from .invariants import (
     rigidity_report,
 )
 from .picard import verify_dependencies
-from .registry import (
-    RegistryFormatError,
-    default_registry,
-    load_path,
-)
-from .vanishing import ProofEngine, problem_of_key
+from .registry import RegistryFormatError, default_registry, load_path
 
 # Largest exponent rigidity accepts.  Time grows as n^5, for the survivor
 # filter in orbit mode and for the problem keys of every character with
@@ -202,7 +195,7 @@ def _cmd_invariants(parser, args) -> int:
         payloads.append(reports.invariants_payload(inv, strat))
         texts.append(reports.invariants_text(inv, strat))
     _write_body(args, payloads, texts)
-    return 0 if all(p["noether_ok"] and p["stratification_ok"] for p in payloads) else 1
+    return 0 if all(p["stratification_ok"] for p in payloads) else 1
 
 
 # A rank exception depends only on the log-pole set and n, and its prediction
@@ -210,7 +203,7 @@ def _cmd_invariants(parser, args) -> int:
 # The zero character's log-pole set, all ten lines, has full rank.
 def _rank_exception_sweep(n: int) -> tuple:
     checked = failures = 0
-    for prob, (count, _) in problem_histogram(n, orbits=False).items():
+    for prob, (count, _, _) in problem_histogram(n, orbits=False).items():
         exc = classify_logset(prob.logset, n)
         if exc is None:
             continue
@@ -261,28 +254,21 @@ def _cmd_checks(parser, args) -> int:
     ok = all(chi_crosscheck(n) for n in ns)
     results.append(("chi_character_sum", ok, f"n in {ns[0]}..{ns[-1]}"))
 
-    ok = all(
-        euler_by_stratification(n) == closed_form(n).euler
-        and (closed_form(n).K2 + closed_form(n).euler) % 12 == 0
-        for n in range(2, 21)
-    )
+    # closed_form raises unless 12 divides K^2 + e, so this checks Noether too.
+    ok = all(euler_by_stratification(n) == closed_form(n).euler
+             for n in range(2, 21))
     results.append(("euler_and_noether", ok, "n in 2..20"))
 
-    # Each distinct problem of the orbit representatives of min(ns) is proved
-    # and replayed once, and counts for all of its representatives.
-    m = min(ns)
-    keys = np.concatenate([problem_keys(rows, m) for _, rows, _ in survivor_blocks(m)])
+    # The certificates rigidity_report proved at min(ns) are replayed, each
+    # distinct problem once, counting for all of its orbit representatives.
     registry = default_registry()
-    engine = ProofEngine(registry)
     replayed = failed = 0
-    for key, count in zip(*(a.tolist() for a in np.unique(keys, return_counts=True))):
-        prob = problem_of_key(key, m)
-        cert = engine.prove(prob)
+    for prob, keyed, cert in rigidity_report(min(ns), registry).records:
         if cert.kind == "unresolved":
             continue
-        replayed += count
+        replayed += keyed
         if not replay_mod.replay(prob, cert, registry=registry).ok:
-            failed += count
+            failed += keyed
     results.append(
         ("certificate_replay", failed == 0, f"{replayed} replayed, {failed} failed")
     )

@@ -40,8 +40,6 @@ from .vanishing import (
     rules_used,
 )
 
-CHI_OMEGA = -5  # chi of the untwisted log-free cotangent sheaf on the base
-
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
@@ -100,46 +98,49 @@ def euler_by_stratification(n: int) -> int:
     return e_complement * n**5 + e_lines_open * n**4 + nodes * n**3
 
 
-def _tally(keys, weights, codes, digits):
+def _tally(keys, weights, rows, codes, digits):
     """Reduce rows in ascending code order to one per distinct key: the key,
-    its total weight, and the code and digits of its first row."""
+    its total weight, its number of rows keyed, and the code and digits of
+    its first row."""
     keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    totals = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(totals, inverse, weights)
-    return keys, totals, codes[first], digits[first]
+    totals = np.zeros((2, len(keys)), dtype=np.int64)
+    np.add.at(totals[0], inverse, weights)
+    np.add.at(totals[1], inverse, rows)
+    return keys, totals[0], totals[1], codes[first], digits[first]
 
 
 def problem_histogram(n: int, orbits: bool = True) -> dict:
     """Map each distinct problem of the n^5 characters to [character count,
-    least character], in ascending order of the least character.
+    least character, rows keyed], in ascending order of the least character.
 
     Full mode keys every character; orbit mode keys the least character of
-    each symmetry orbit, weighted by orbit size, and checks the number of
-    orbits against the Burnside count.  Keys are computed a block at a time
-    by characters.problem_keys, and each block is folded into the tally of
-    the earlier ones, so a key's first row stays its least character.
+    each symmetry orbit, weighted by orbit size, and checks the rows keyed,
+    one per orbit, against the Burnside count.  Keys are computed a block at
+    a time by characters.problem_keys, and each block is folded into the
+    tally of the earlier ones, so a key's first row stays its least character.
     """
-    tally, rows = None, 0
+    tally = None
     for codes, digits, weights in (survivor_blocks if orbits else code_blocks)(n):
-        block = _tally(problem_keys(digits, n), weights, codes, digits)
+        block = _tally(problem_keys(digits, n), weights,
+                       np.ones(len(codes), dtype=np.int64), codes, digits)
         if tally is not None:
             block = _tally(*(np.concatenate(pair) for pair in zip(tally, block)))
         tally = block
-        rows += len(codes)
-    if orbits and rows != orbit_count(n):
+    keys, counts, rows, codes, digits = tally
+    if orbits and rows.sum() != orbit_count(n):
         raise InternalInconsistencyError(
-            f"{rows} orbit representatives at n={n}, Burnside count {orbit_count(n)}")
-    keys, counts, codes, digits = tally
+            f"{rows.sum()} orbit representatives at n={n}, "
+            f"Burnside count {orbit_count(n)}")
     order = np.argsort(codes)
-    return {problem_of_key(key, n): [count, Character(n, tuple(row))]
-            for key, count, row in zip(keys[order].tolist(), counts[order].tolist(),
-                                       digits[order].tolist())}
+    return {problem_of_key(key, n): [count, Character(n, tuple(row)), keyed]
+            for key, count, keyed, row in zip(
+                *(a[order].tolist() for a in (keys, counts, rows, digits)))}
 
 
 def chi_theta_character_sum(n: int, orbits: bool = True) -> int:
     """Sum of chi over the twisted log problems of all n^5 characters."""
     return sum(weight * chi_log(prob.logset, prob.twist)
-               for prob, (weight, _) in problem_histogram(n, orbits).items())
+               for prob, (weight, _, _) in problem_histogram(n, orbits).items())
 
 
 def chi_crosscheck(n: int, orbits: bool = True) -> bool:
@@ -214,6 +215,9 @@ class RigidityReport:
     chi_character_sum: int
     crosscheck_ok: bool
     registry_digest: Optional[str]
+    # (problem, rows keyed, certificate) per distinct problem, in histogram
+    # order: the certificates this report rests on, which checks replays.
+    records: tuple
 
     @property
     def exit_code(self) -> int:
@@ -253,8 +257,10 @@ def rigidity_report(
     unresolved, axioms, rules = set(), set(), set()
     chi_sum = 0
     obstructed: dict = {}
-    for prob, (weight, psi) in hist.items():
+    records = []
+    for prob, (weight, psi, keyed) in hist.items():
         cert = engine.prove(prob)
+        records.append((prob, keyed, cert))
         counts[cert.kind] += weight
         rules |= rules_used(cert)
         chi_sum += weight * chi_log(prob.logset, prob.twist)
@@ -276,11 +282,7 @@ def rigidity_report(
         )
     inv = closed_form(n)
     euler_strat = euler_by_stratification(n)
-    crosscheck = (
-        chi_sum == inv.chi_theta
-        and euler_strat == inv.euler
-        and (inv.K2 + inv.euler) % 12 == 0
-    )
+    crosscheck = chi_sum == inv.chi_theta and euler_strat == inv.euler
     nonvan = tuple(
         NonVanishingRecord(
             logset=key[0],
@@ -308,4 +310,5 @@ def rigidity_report(
         chi_character_sum=chi_sum,
         crosscheck_ok=crosscheck,
         registry_digest=digest(registry.text),
+        records=tuple(records),
     )

@@ -23,6 +23,17 @@ from .vanishing import canonical_problem
 DATA_PACKAGE = "hkrigidity"
 DATA_PATH = "data/registry.txt"
 
+# Largest registry file load_path reads.  The shipped file is 596 bytes with
+# two entries.  1 MiB still lets a 100,000-deep JSON nesting reach the parser,
+# and 1 MiB of comment lines parses in about 0.1 s.  Without a bound, reading
+# /dev/zero grew until memory ran out (a MemoryError under a 1.5 GB limit).
+MAX_REGISTRY_BYTES = 1 << 20
+
+# Most entries loads accepts.  Registry() checks each entry's canonical form
+# over the 120 symmetries, about 1 ms an entry on a 2-vCPU machine, so 256
+# entries take about 0.3 s; 5000 took 4 s.
+MAX_REGISTRY_ENTRIES = 256
+
 _HEADER = (
     "# Vanishing axiom registry.\n"
     "# Each line: id, canonical pole set, twist class, justification.\n"
@@ -110,6 +121,9 @@ def loads(text):
             values[name] = value
         if len(values) != 4:
             raise RegistryFormatError(f"line {lineno}: missing fields")
+        if len(entries) == MAX_REGISTRY_ENTRIES:
+            raise RegistryFormatError(
+                f"line {lineno}: more than {MAX_REGISTRY_ENTRIES} entries")
         try:
             poles = json.loads(values["logset"])
             twist = json.loads(values["twist"])
@@ -146,8 +160,12 @@ def dumps(registry):
 
 
 def load_path(path):
-    with open(path, encoding="utf-8") as handle:
-        return loads(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_REGISTRY_BYTES + 1)
+    if len(data) > MAX_REGISTRY_BYTES:
+        raise RegistryFormatError(f"longer than {MAX_REGISTRY_BYTES} bytes")
+    # newlines translated as a text-mode read would, so the digest is unchanged
+    return loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def default_registry_text():

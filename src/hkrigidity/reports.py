@@ -112,7 +112,7 @@ def invariants_payload(inv: SurfaceInvariants, euler_stratified: int) -> dict:
         "euler_stratified": euler_stratified,
         "chi_O": inv.chi_O,
         "chi_theta": inv.chi_theta,
-        "noether_ok": (inv.K2 + inv.euler) % 12 == 0,
+        "noether_ok": True,  # schema key; closed_form raises unless 12 | K^2 + e
         "stratification_ok": euler_stratified == inv.euler,
         "timing": None,
     }

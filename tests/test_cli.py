@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,15 @@ from hkrigidity.cli import (
     MAX_INVARIANT_EXPONENT,
     main,
 )
-from hkrigidity.registry import default_registry_text
+from hkrigidity.registry import (
+    MAX_REGISTRY_BYTES,
+    MAX_REGISTRY_ENTRIES,
+    default_registry_text,
+)
+
+
+REGISTRY_ENTRY = next(line for line in default_registry_text().splitlines()
+                      if line.startswith("id="))
 
 
 def run(capsys, argv):
@@ -143,14 +152,24 @@ class TestRigidity:
     @pytest.mark.parametrize(
         "content",
         [None, b"garbage\n", b"\xff\xfe\n",
-         b"id=x\tlogset=" + b"[" * 100_000 + b"\ttwist=[0,0,0,0,0]\tjustification=x\n"],
-        ids=["missing", "garbage", "not-utf8", "deeply-nested"])
+         b"id=x\tlogset=" + b"[" * 100_000 + b"\ttwist=[0,0,0,0,0]\tjustification=x\n",
+         b"#" * MAX_REGISTRY_BYTES + b"\n",
+         "\n".join([REGISTRY_ENTRY] * (MAX_REGISTRY_ENTRIES + 1)).encode("utf-8"),
+         "/dev/zero"],
+        ids=["missing", "garbage", "not-utf8", "deeply-nested", "over-byte-cap",
+             "over-entry-cap", "dev-zero"])
     def test_unreadable_registry_is_usage_error(self, capsys, tmp_path, content):
         target = tmp_path / "axioms.txt"
-        if content is not None:
+        if isinstance(content, str):
+            if not os.path.exists(content):
+                pytest.skip(f"no {content}")
+            target = content
+        elif content is not None:
             target.write_bytes(content)
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as err:
             main(["rigidity", "--n", "3", "--registry", str(target)])
+        assert time.perf_counter() - start < 1
         assert err.value.code == 3
         assert "--registry" in capsys.readouterr().err
 
@@ -196,8 +215,6 @@ class TestUsageErrors:
             raise AssertionError("work started")
 
         monkeypatch.setattr(characters, "orbit_representatives", refuse)
-        monkeypatch.setattr(cli, "survivor_blocks", refuse)
-        monkeypatch.setattr(cli, "problem_keys", refuse)
         for name in ("survivor_blocks", "code_blocks", "problem_keys", "block_geometry"):
             monkeypatch.setattr(characters, name, refuse)
             monkeypatch.setattr(invariants, name, refuse)
@@ -286,8 +303,8 @@ class TestChecks:
         real = cli.problem_histogram
 
         def tripled(n, orbits):
-            return {prob: [3 * count, psi]
-                    for prob, (count, psi) in real(n, orbits).items()}
+            return {prob: [3 * count, psi, keyed]
+                    for prob, (count, psi, keyed) in real(n, orbits).items()}
 
         expected = tuple(3 * x for x in cli._rank_exception_sweep(4))
         monkeypatch.setattr(cli, "problem_histogram", tripled)
@@ -308,6 +325,10 @@ class TestChecks:
         assert code == 0
         assert len(problems) == len(set(problems)) == len(np.unique(keys))
         assert "26 replayed, 0 failed" in out
+        # exactly the certificates the report at min(ns) proved, in its order
+        records = invariants.rigidity_report(4).records
+        assert problems == [prob for prob, _, cert in records
+                            if cert.kind != "unresolved"]
 
     def test_json_payload(self, capsys):
         code, out = run(capsys, ["checks", "--n-range", "4..4", "--json"])

@@ -8,6 +8,7 @@ from hkrigidity.characters import (
     InternalInconsistencyError,
     all_characters,
     geometry_of,
+    orbit_count,
     orbit_representatives,
     problem_keys,
 )
@@ -88,12 +89,20 @@ class TestProblemHistogram:
     def check_against_problem_of(n, orbits, pairs):
         expected = {}
         for psi, weight in pairs:
-            entry = expected.setdefault(problem_of(psi), [0, psi.a])
+            entry = expected.setdefault(problem_of(psi), [0, psi.a, 0])
             entry[0] += weight
             entry[1] = min(entry[1], psi.a)
+            entry[2] += 1
         hist = problem_histogram(n, orbits)
-        got = {prob: [count, psi.a] for prob, (count, psi) in hist.items()}
+        got = {prob: [count, psi.a, keyed]
+               for prob, (count, psi, keyed) in hist.items()}
         assert got == expected
+        # rows keyed: every character in full mode, one row per orbit
+        # representative in orbit mode, adding up to the Burnside count
+        if orbits:
+            assert sum(keyed for _, _, keyed in got.values()) == orbit_count(n)
+        else:
+            assert all(keyed == count for count, _, keyed in got.values())
         # problems come in order of their least character
         assert list(got) == sorted(expected, key=lambda prob: expected[prob][1])
 

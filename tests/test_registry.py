@@ -4,6 +4,8 @@ import pytest
 
 from hkrigidity.picard import DivisorClass
 from hkrigidity.registry import (
+    MAX_REGISTRY_BYTES,
+    MAX_REGISTRY_ENTRIES,
     Registry,
     RegistryEntry,
     RegistryFormatError,
@@ -129,6 +131,22 @@ def test_loads_rejects_deeply_nested_json():
         line = "\t".join(f"{k}={v}" for k, v in values.items())
         with pytest.raises(RegistryFormatError, match="line 1"):
             loads(line + "\n")
+
+
+def test_load_path_bounds_the_read(tmp_path):
+    target = tmp_path / "axioms.txt"
+    target.write_bytes(b"#" * (MAX_REGISTRY_BYTES - 1) + b"\n")
+    assert len(load_path(target)) == 0
+    target.write_bytes(b"#" * MAX_REGISTRY_BYTES + b"\n")
+    with pytest.raises(RegistryFormatError, match="longer than"):
+        load_path(target)
+
+
+def test_loads_bounds_the_entry_count():
+    text = default_registry_text()
+    entry = next(ln for ln in text.splitlines() if ln.startswith("id="))
+    with pytest.raises(RegistryFormatError, match="more than"):
+        loads("\n".join([entry] * (MAX_REGISTRY_ENTRIES + 1)))
 
 
 def test_loads_rejects_unsorted_entries():
