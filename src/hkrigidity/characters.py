@@ -380,28 +380,28 @@ _CASE_OF_PATTERN = _table(4, {(total, excess): case
                               for case, (excess, total) in _CASE_PATTERNS.items()})
 
 
-def _check_rows(digits, n, what, *checks):
-    """Raise for the first row where any check array is nonzero."""
-    for check in checks:
+def _check_rows(digits, n, *checks):
+    """Raise for the first row where a check array is nonzero, naming its
+    condition; checks are (condition, array) pairs, tried in order."""
+    for what, check in checks:
         if check.any():
             row = np.argmax(check.reshape(len(digits), -1).any(axis=1))
             a = tuple(digits[row].tolist())
             raise InternalInconsistencyError(f"{what} for {Character(n, a)}")
 
 
-BlockGeometry = namedtuple(
-    "BlockGeometry", "loops total eigen quad_total excess exc_total twist")
+BlockGeometry = namedtuple("BlockGeometry", "loops twist")
 
 
 def block_geometry(digits, n):
-    """geometry_of's data for every row of an (m, 5) array of residues in
-    [0, n), as a BlockGeometry of arrays with one row per character: total
-    is the loop-weighted class sum (n times the eigenclass, by route one)
-    and twist the twist's shape index.
+    """The loops and twist of every row of an (m, 5) array of residues in
+    [0, n), as a BlockGeometry of arrays with one row per character: loops
+    has one column per line of PAIRS, and twist is the twist's shape index.
 
     Every check of geometry_of runs on every row, the agreement of the two
     eigenclass routes and the twist case included, and
-    InternalInconsistencyError is raised where geometry_of would raise.
+    InternalInconsistencyError is raised where geometry_of would raise,
+    naming the failed condition in geometry_of's words.
     """
     loops = _loops(digits, n)
 
@@ -417,23 +417,26 @@ def block_geometry(digits, n):
     excess = sigmas - sigmas % n
     exc_total = loops @ (1 - _QUADRANGLE)
 
-    _check_rows(digits, n, "eigenclass routes disagree",
-                total % n,
-                quad_total % n,
-                quad_total - loops @ _QUADRANGLE,
-                (excess < 0) | (excess > 2 * n),
-                excess.sum(axis=1) - (2 * quad_total - exc_total),
-                eigen[:, 0] - quad_total // n,
-                eigen[:, 1:] + excess // n)
+    quadrangle = "quadrangle total inconsistent"
+    routes = "eigenclass routes disagree"
+    _check_rows(digits, n,
+                ("loop-weighted class sum not divisible by n", total % n),
+                (quadrangle, quad_total % n),
+                (quadrangle, quad_total - loops @ _QUADRANGLE),
+                ("point excess out of pattern", (excess < 0) | (excess > 2 * n)),
+                ("excess sum identity fails",
+                 excess.sum(axis=1) - (2 * quad_total - exc_total)),
+                (routes, eigen[:, 0] - quad_total // n),
+                (routes, eigen[:, 1:] + excess // n))
 
     # The twist is the canonical class (-3, 1, 1, 1, 1) plus the eigenclass.
     twist = _shape_index(eigen[:, 0], eigen[:, 1:] + 2)
     case = _CASE_OF_TWIST[twist]
     pattern = _CASE_OF_PATTERN[_shape_index(exc_total // n, excess // n)]
-    _check_rows(digits, n, "twist case inconsistent",
-                (residue_sum != 0) & ((case < 0) | (pattern != case)))
+    _check_rows(digits, n, ("twist case inconsistent",
+                            (residue_sum != 0) & ((case < 0) | (pattern != case))))
 
-    return BlockGeometry(loops, total, eigen, quad_total, excess, exc_total, twist)
+    return BlockGeometry(loops, twist)
 
 
 def problem_keys(digits, n):

@@ -19,7 +19,6 @@ from . import replay as replay_mod
 from . import reports
 from .characters import classify_logset
 from .invariants import (
-    character_invariant_suite,
     chi_crosscheck,
     closed_form,
     euler_by_stratification,
@@ -36,10 +35,10 @@ from .registry import RegistryFormatError, default_registry, load_path
 # and 82 s with --full, so a larger n is refused before any work starts.
 MAX_EXPONENT = 40
 
-# Largest exponent checks accepts.  Its two sweeps key all n^5 characters in
-# numpy blocks, and its replay proves each distinct problem once.  On a 2-vCPU
-# machine 8..8 takes about 0.5 s (53 MB peak RSS), and n = 16 about 2.2 s in
-# process, 1.5 s of it the sweeps.  The bound stays 8, so the refusal tests
+# Largest exponent checks accepts.  It keys all n^5 characters once, in numpy
+# blocks, and its replay proves each distinct problem once.  On a 2-vCPU
+# machine 8..8 takes about 0.45 s (49 MB peak RSS), and n = 16 about 1.4 s in
+# process, 0.65 s of it the sweep.  The bound stays 8, so the refusal tests
 # and CI keep their 4..9 input.
 MAX_CHECKS_EXPONENT = 8
 
@@ -201,9 +200,9 @@ def _cmd_invariants(parser, args) -> int:
 # A rank exception depends only on the log-pole set and n, and its prediction
 # only on the twist, so each distinct problem counts for all of its characters.
 # The zero character's log-pole set, all ten lines, has full rank.
-def _rank_exception_sweep(n: int) -> tuple:
+def _rank_exception_sweep(n: int, hist: dict) -> tuple:
     checked = failures = 0
-    for prob, (count, _, _) in problem_histogram(n, orbits=False).items():
+    for prob, (count, _, _) in hist.items():
         exc = classify_logset(prob.logset, n)
         if exc is None:
             continue
@@ -239,16 +238,21 @@ def _cmd_checks(parser, args) -> int:
         )
     )
 
-    sweeps = [_rank_exception_sweep(n) for n in ns]
-    total, bad = sum(c for c, _ in sweeps), sum(f for _, f in sweeps)
+    # One full-mode histogram per exponent feeds both rows: block_geometry
+    # checks every per-character invariant while it keys (see
+    # character_invariant_suite).  Each is dropped before the next is built.
+    deficient = mismatches = keyed = 0
+    for n in ns:
+        hist = problem_histogram(n, orbits=False)
+        checked, failed = _rank_exception_sweep(n, hist)
+        deficient, mismatches = deficient + checked, mismatches + failed
+        keyed += sum(count for count, _, _ in hist.values())
+        del hist
+    results.append(("rank_exceptions", mismatches == 0,
+                    f"{deficient} deficient characters, {mismatches} mismatches"))
+    bad = abs(sum(n ** 5 for n in ns) - keyed)
     results.append(
-        ("rank_exceptions", bad == 0, f"{total} deficient characters, {bad} mismatches")
-    )
-
-    suites = [character_invariant_suite(n) for n in ns]
-    total, bad = sum(c for c, _ in suites), sum(len(f) for _, f in suites)
-    results.append(
-        ("character_invariants", bad == 0, f"{total} characters, {bad} failures")
+        ("character_invariants", bad == 0, f"{keyed} characters, {bad} failures")
     )
 
     ok = all(chi_crosscheck(n) for n in ns)

@@ -1,6 +1,8 @@
 import random
+import re
 from itertools import product
 
+import numpy as np
 import pytest
 
 from hkrigidity import characters
@@ -146,6 +148,21 @@ def test_perturbed_line_row_raises(monkeypatch):
             columns[k][i] += 1
             monkeypatch.setattr(characters, "_CLASS_COLUMNS", tuple(map(tuple, columns)))
             assert_some_character_raises()
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+@pytest.mark.parametrize("shift,residues,condition", [
+    ((1, 0, 0, 0, 0), (0, 0, 0, 0, 0), "quadrangle total inconsistent"),
+    ((1, -1, 0, 0, 0), (0, 0, 0, 0, 0), "point excess out of pattern"),
+    ((-1, 0, 0, 0, 1), (0, 1, 0, 0, 0), "eigenclass routes disagree"),
+])
+def test_block_row_outside_residues_names_its_condition(n, shift, residues, condition):
+    # shifting a row by multiples of n keeps its loops but breaks a carry
+    # formula of route two; the error names that condition and the row
+    digits = np.array([(1, 2, 0, 1, 0), np.add(residues, np.multiply(n, shift))])
+    message = f"^{condition} for {re.escape(str(Character(n, residues)))}$"
+    with pytest.raises(InternalInconsistencyError, match=message):
+        characters.block_geometry(digits, n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

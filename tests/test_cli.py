@@ -223,7 +223,6 @@ class TestUsageErrors:
         monkeypatch.setattr(invariants, "closed_form", refuse)
         monkeypatch.setattr(cli, "closed_form", refuse)
         monkeypatch.setattr(cli, "_rank_exception_sweep", refuse)
-        monkeypatch.setattr(cli, "character_invariant_suite", refuse)
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 3
@@ -295,20 +294,34 @@ class TestChecks:
                     and geometry_of(psi).twist not in exc.predicted_twists):
                 failures += 1
         assert checked > 0
-        assert cli._rank_exception_sweep(n) == (checked, failures)
+        hist = invariants.problem_histogram(n, orbits=False)
+        assert cli._rank_exception_sweep(n, hist) == (checked, failures)
 
-    def test_rank_exception_sweep_weights_by_character_count(self, monkeypatch):
+    def test_rank_exception_sweep_weights_by_character_count(self):
         # every deficient problem has one character at these exponents, so
         # scale the counts to see the weighting
-        real = cli.problem_histogram
+        hist = invariants.problem_histogram(4, orbits=False)
+        tripled = {prob: [3 * count, psi, keyed]
+                   for prob, (count, psi, keyed) in hist.items()}
+        expected = tuple(3 * x for x in cli._rank_exception_sweep(4, hist))
+        assert cli._rank_exception_sweep(4, tripled) == expected
 
-        def tripled(n, orbits):
-            return {prob: [3 * count, psi, keyed]
-                    for prob, (count, psi, keyed) in real(n, orbits).items()}
+    def test_each_character_keyed_once(self, capsys, monkeypatch):
+        # one full-mode histogram serves the rank and invariant rows; the
+        # report and the chi cross-check at min(ns) key one row per orbit
+        rows = []
+        real = characters.block_geometry
 
-        expected = tuple(3 * x for x in cli._rank_exception_sweep(4))
-        monkeypatch.setattr(cli, "problem_histogram", tripled)
-        assert cli._rank_exception_sweep(4) == expected
+        def counted(digits, n):
+            rows.append(len(digits))
+            return real(digits, n)
+
+        monkeypatch.setattr(characters, "block_geometry", counted)
+        monkeypatch.setattr(invariants, "block_geometry", counted)
+        code, out = run(capsys, ["checks", "--n-range", "8..8"])
+        assert code == 0
+        assert "32768 characters, 0 failures" in out
+        assert sum(rows) == 8**5 + 2 * characters.orbit_count(8)
 
     def test_replay_runs_once_per_distinct_problem(self, capsys, monkeypatch):
         problems = []

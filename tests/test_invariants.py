@@ -7,7 +7,6 @@ from hkrigidity import characters, invariants
 from hkrigidity.characters import (
     InternalInconsistencyError,
     all_characters,
-    geometry_of,
     orbit_count,
     orbit_representatives,
     problem_keys,
@@ -21,7 +20,6 @@ from hkrigidity.invariants import (
     problem_histogram,
     rigidity_report,
 )
-from hkrigidity.picard import PAIRS, DivisorClass
 from hkrigidity.vanishing import problem_of, problem_of_key
 
 
@@ -140,57 +138,12 @@ class TestProblemHistogram:
         problem_histogram(5, orbits=False)
 
 
-def first_with_double_excess(n):
-    """(character, its geometry, 1-based point) with an excess of 2n."""
-    for psi in all_characters(n):
-        geo = geometry_of(psi)
-        if 2 * n in geo.point_excess:
-            return psi, geo, geo.point_excess.index(2 * n) + 1
-    raise AssertionError("no double excess")
-
-
 class TestInvariantSuite:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_exhaustive_per_character_checks(self, n):
         checked, failures = character_invariant_suite(n)
         assert checked == n**5
         assert failures == ()
-
-    @pytest.mark.parametrize("fault", ["loop", "quad_total", "excess", "total"])
-    def test_corrupted_row_is_reported(self, monkeypatch, fault):
-        # Corrupt one row of the block geometry; the suite must name that
-        # character alone, in the per-character message formats.
-        n = 4
-        psi, geo, point = first_with_double_excess(n)
-        F, S, excess = geo.quad_total, geo.exc_total, list(geo.point_excess)
-        unbalanced = f"{psi.a}: exceptional total {S} unbalanced"
-        expected = {
-            "loop": [f"{psi.a}: double excess without pole at {point}"],
-            "quad_total": [f"{psi.a}: quadrangle total {F + 1} out of range",
-                           unbalanced],
-            "excess": [f"{psi.a}: point excess {tuple(excess[:3] + [excess[3] + 1])}",
-                       unbalanced],
-            "total": [f"{psi.a}: reconstruction "
-                      f"{n * geo.eigenclass + DivisorClass(n, (0, 0, 0, 0))} "
-                      f"!= {n * geo.eigenclass}"],
-        }[fault]
-        real = characters.block_geometry
-
-        def corrupted(digits, n):
-            block = real(digits, n)
-            for row in np.flatnonzero((digits == psi.a).all(axis=1)):
-                if fault == "loop":
-                    block.loops[row, PAIRS.index((point, 5))] = n - 1
-                elif fault == "quad_total":
-                    block.quad_total[row] += 1
-                elif fault == "excess":
-                    block.excess[row, 3] += 1
-                else:
-                    block.total[row, 0] += n
-            return block
-
-        monkeypatch.setattr(invariants, "block_geometry", corrupted)
-        assert character_invariant_suite(n) == (n**5, tuple(expected))
 
 
 class TestRigidityReport:
