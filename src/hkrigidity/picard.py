@@ -185,10 +185,14 @@ def map_pair(t, p):
     return make_pair(t[p[0] - 1], t[p[1] - 1])
 
 
+def _matrix_times(m, v):
+    """Image of the coordinate tuple v under the 5 x 5 matrix m."""
+    return tuple(r[0] * v[0] + r[1] * v[1] + r[2] * v[2] + r[3] * v[3] + r[4] * v[4]
+                 for r in m)
+
+
 def _apply_matrix(m, cls):
-    v = cls.as_tuple()
-    w = tuple(sum(m[r][c] * v[c] for c in range(5)) for r in range(5))
-    return DivisorClass.from_tuple(w)
+    return DivisorClass.from_tuple(_matrix_times(m, cls.as_tuple()))
 
 
 @lru_cache(maxsize=None)
@@ -199,12 +203,15 @@ def _matrix_from_line_images(t):
     the permuted pair, and L = class({1,2}) + E3 + E4 pins down the image
     of L by linearity.
     """
-    e_img = [class_of(map_pair(t, (i, 5))) for i in range(1, 5)]
-    l_img = class_of(map_pair(t, (1, 2))) + e_img[2] + e_img[3]
+    def image(p):
+        return LINE_CLASSES[map_pair(t, p)].as_tuple()
+
+    e_img = [image((i, 5)) for i in range(1, 5)]
+    l_img = tuple(map(sum, zip(image((1, 2)), e_img[2], e_img[3])))
     cols = [l_img] + e_img
-    m = tuple(tuple(cols[c].as_tuple()[r] for c in range(5)) for r in range(5))
+    m = tuple(tuple(cols[c][r] for c in range(5)) for r in range(5))
     for p in PAIRS:
-        if _apply_matrix(m, class_of(p)) != class_of(map_pair(t, p)):
+        if _matrix_times(m, LINE_CLASSES[p].as_tuple()) != image(p):
             raise RuntimeError(f"lattice action inconsistent for {t} at pair {p}")
     return m
 

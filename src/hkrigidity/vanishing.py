@@ -21,18 +21,19 @@ independent checker; the search is never trusted.
 
 from dataclasses import dataclass
 from functools import cache
+from operator import add, sub
+from typing import NamedTuple
 
 from .picard import (
+    LINE_CLASSES,
     PAIRS,
     PERMS,
-    ZERO,
     DivisorClass,
-    class_of,
+    _matrix_from_line_images,
+    _matrix_times,
     make_pair,
-    map_pair,
     pairing,
     rank_of,
-    s5_transform,
 )
 from .characters import decode_key, geometry_of
 
@@ -71,11 +72,96 @@ def problem_of_key(key, n):
     return VanishingProblem(logset=logset, twist=twist, h2_zero=n >= 3)
 
 
+# ---------------------------------------------------------------------------
+# Integer tables
+#
+# The engine works on class vectors as plain 5-tuples and on line sets as
+# bitmasks (bit k for the line PAIRS[k]).  The tables below are read off
+# picard.LINE_CLASSES on first use; picard's pairing, class_of and
+# s5_transform stay the definitions they are built from.
+
+
+def _form(u, v):
+    """Intersection number of two class vectors, as picard.pairing."""
+    return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3] - u[4] * v[4]
+
+
+class _Lines(NamedTuple):
+    vector: dict     # line pair -> class vector
+    plus: tuple      # per line bit: mask of the lines it meets in +1
+    minus: tuple     # per line bit: mask of the lines it meets in -1
+    indices: tuple   # per line mask: the bit positions it contains
+
+
+@cache
+def _line_table():
+    """The ten lines' class vectors and 10 x 10 meeting numbers, built on
+    first use.  Meeting numbers are stored as two bitmasks per line, which
+    needs every entry to lie in -1..1 (true on the Petersen arrangement,
+    checked here)."""
+    plus, minus = [], []
+    for p in PAIRS:
+        meets = [pairing(LINE_CLASSES[p], LINE_CLASSES[q]) for q in PAIRS]
+        if not all(-1 <= m <= 1 for m in meets):
+            raise RuntimeError(f"line meeting numbers outside -1..1: {meets}")
+        plus.append(sum(1 << k for k, m in enumerate(meets) if m == 1))
+        minus.append(sum(1 << k for k, m in enumerate(meets) if m == -1))
+    indices = tuple(tuple(k for k in range(len(PAIRS)) if mask >> k & 1)
+                    for mask in range(1 << len(PAIRS)))
+    vectors = {p: LINE_CLASSES[p].as_tuple() for p in PAIRS}
+    return _Lines(vectors, tuple(plus), tuple(minus), indices)
+
+
+_PAIR_BIT = {p: k for k, p in enumerate(PAIRS)}
+
+
+def _mask_of(pairs):
+    mask = 0
+    for p in pairs:
+        mask |= 1 << _PAIR_BIT[p]
+    return mask
+
+
+def _mask_pairs(mask):
+    return tuple(PAIRS[k] for k in _line_table().indices[mask])
+
+
+def _mask_class(mask):
+    """Class vector of the sum of the lines in mask."""
+    vector = _line_table().vector
+    total = (0, 0, 0, 0, 0)
+    for p in _mask_pairs(mask):
+        total = tuple(map(add, total, vector[p]))
+    return total
+
+
+def _meet(lines, k, mask):
+    """Intersection number of line PAIRS[k] with the sum of the lines in mask."""
+    return (lines.plus[k] & mask).bit_count() - (lines.minus[k] & mask).bit_count()
+
+
+@cache
+def _line_rank(mask):
+    """Rank of the classes of the lines in mask (at most 1024 entries)."""
+    return rank_of([LINE_CLASSES[p] for p in _mask_pairs(mask)])
+
+
+@cache
+def _subset_sums():
+    """Line bitmasks by the class sum of their lines, built on first use."""
+    sums = {}
+    for mask in range(1 << len(PAIRS)):
+        sums.setdefault(_mask_class(mask), []).append(mask)
+    return {key: tuple(masks) for key, masks in sums.items()}
+
+
 def chi_log(logset, twist):
     """Euler characteristic of the twisted log 1-form sheaf."""
-    total = pairing(twist, twist) - (VanishingProblem.blowups + 1)
+    tw = twist.as_tuple()
+    vector = _line_table().vector
+    total = _form(tw, tw) - (VanishingProblem.blowups + 1)
     for p in logset:
-        total += 1 + pairing(class_of(p), twist)
+        total += 1 + _form(vector[p], tw)
     return total
 
 
@@ -168,86 +254,90 @@ def gvt_check(prob, a_lines, b_lines):
     """Evaluate the vanishing-criterion conditions for a decomposition
     twist = (sum of A) - (sum of B).  Structural violations raise; the
     four conditions are reported individually."""
+    a_lines, b_lines = tuple(a_lines), tuple(b_lines)
     aset = frozenset(make_pair(*p) for p in a_lines)
     bset = frozenset(make_pair(*p) for p in b_lines)
-    if len(aset) != len(tuple(a_lines)) or len(bset) != len(tuple(b_lines)):
+    if len(aset) != len(a_lines) or len(bset) != len(b_lines):
         raise MalformedWitnessError("repeated lines in witness")
     if aset & bset:
         raise MalformedWitnessError("A and B overlap")
     if not bset <= prob.logset:
         raise MalformedWitnessError("B not contained in the log-pole set")
-    a_class = _class_sum(aset)
-    b_class = _class_sum(bset)
-    if a_class - b_class != prob.twist:
+    amask, bmask = _mask_of(aset), _mask_of(bset)
+    twist = prob.twist.as_tuple()
+    if tuple(map(sub, _mask_class(amask), _mask_class(bmask))) != twist:
         raise MalformedWitnessError("class identity A - B = twist fails")
+    return _criterion(prob.h2_zero, _mask_of(prob.logset),
+                      _steep_poles(prob.logset, twist),
+                      amask, bmask)
 
-    twist = prob.twist
-    cond2 = all(pairing(class_of(p), twist) >= -1 for p in aset & prob.logset)
 
-    support = prob.logset | aset
-    residual = _class_sum(support) - b_class
-    cond3 = all(pairing(class_of(p), residual) >= 1 for p in aset)
+def _steep_poles(logset, twist):
+    """Mask of the pole lines meeting the twist vector below -1."""
+    vector = _line_table().vector
+    return _mask_of(p for p in logset if _form(vector[p], twist) < -1)
+
+
+def _criterion(h2_zero, logmask, steep, amask, bmask):
+    """The four criterion conditions for witness masks A and B, given the
+    pole mask and the mask of pole lines meeting the twist below -1."""
+    lines = _line_table()
+    cond2 = not amask & steep
+
+    # residual = (sum of support) - (sum of B)
+    support = logmask | amask
+    cond3 = all(_meet(lines, k, support) - _meet(lines, k, bmask) >= 1
+                for k in lines.indices[amask])
 
     correction = 0
-    orthogonal = []
-    for p in support:
-        cp = class_of(p)
-        if all(pairing(cp, class_of(q)) == 0 for q in bset):
-            orthogonal.append(cp)
-        if p not in bset:
-            hits = pairing(cp, b_class)
+    orthogonal = 0
+    for k in lines.indices[support]:
+        if not (lines.plus[k] | lines.minus[k]) & bmask:
+            orthogonal |= 1 << k
+        if not bmask >> k & 1:
+            hits = _meet(lines, k, bmask)
             if hits > 0:
                 correction += hits - 1
-    rank_value = rank_of(orthogonal)
-    rank_bound = prob.blowups + 1 - len(bset) + correction
-    return GvtReport(h2_ok=prob.h2_zero, pole_twist_ok=cond2,
+    rank_value = _line_rank(orthogonal)
+    rank_bound = VanishingProblem.blowups + 1 - bmask.bit_count() + correction
+    return GvtReport(h2_ok=h2_zero, pole_twist_ok=cond2,
                      positivity_ok=cond3, rank_ok=rank_value >= rank_bound,
                      rank_value=rank_value, rank_bound=rank_bound,
                      correction=correction)
 
 
-def _class_sum(pairs):
-    return sum(map(class_of, pairs), ZERO)
-
-
-@cache
-def _subset_sums():
-    """Line bitmasks by the class sum of their lines, built on first use."""
-    sums = {}
-    for mask in range(1 << len(PAIRS)):
-        total = _class_sum(PAIRS[k] for k in range(len(PAIRS)) if mask >> k & 1)
-        sums.setdefault(total.as_tuple(), []).append(mask)
-    return {key: tuple(masks) for key, masks in sums.items()}
-
-
-_PAIR_BIT = {p: k for k, p in enumerate(PAIRS)}
-
-
-def _mask_pairs(mask):
-    return tuple(PAIRS[k] for k in range(len(PAIRS)) if mask >> k & 1)
-
-
 def gvt_search(prob):
     """First witness (A, B) passing all criterion conditions, or None.
 
-    Deterministic order: B runs over subsets of the sorted log-pole set
-    by ascending bitmask; for each B, candidate A sets with the required
+    Deterministic order: B runs over the subsets of the log-pole set by
+    ascending line bitmask (PAIRS is sorted, so this is ascending bitmask
+    over the sorted poles); for each B, candidate A sets with the required
     class sum come from a precomputed table, by ascending line bitmask.
+    B lies in the pole set, A is disjoint from B by the skip below, and
+    A - B = twist because the table is keyed by class sum, so only the
+    four conditions are evaluated.
     """
-    lines = prob.sorted_lines()
-    for bmask in range(1 << len(lines)):
-        b = tuple(lines[k] for k in range(len(lines)) if bmask >> k & 1)
-        target = (prob.twist + _class_sum(b)).as_tuple()
-        b_bits = 0
-        for p in b:
-            b_bits |= 1 << _PAIR_BIT[p]
-        for amask in _subset_sums().get(target, ()):
-            if amask & b_bits:
-                continue
-            a = _mask_pairs(amask)
-            if gvt_check(prob, a, b).passed:
-                return a, b
-    return None
+    vector = _line_table().vector
+    logmask = _mask_of(prob.logset)
+    twist = prob.twist.as_tuple()
+    steep = _steep_poles(prob.logset, twist)
+    sums = _subset_sums()
+    # twist + (sum of B) per visited B; B minus its lowest line comes first
+    targets = {0: twist}
+    bmask = 0
+    while True:
+        if bmask:
+            low = bmask & -bmask
+            targets[bmask] = tuple(map(add, targets[bmask ^ low],
+                                       vector[PAIRS[low.bit_length() - 1]]))
+        for amask in sums.get(targets[bmask], ()):
+            if not amask & bmask and _criterion(prob.h2_zero, logmask, steep,
+                                                amask, bmask).passed:
+                return _mask_pairs(amask), _mask_pairs(bmask)
+        # next subset of the pole mask in ascending order
+        bmask = (bmask - logmask) & logmask
+        if not bmask:
+            return None
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +350,10 @@ def drop_reduce(prob):
     The quotient along each such line has no cohomology, so h^0 and h^1
     agree between the two problems in both directions.  Returns the
     reduced problem and the tuple of removed lines."""
+    twist = prob.twist.as_tuple()
+    vector = _line_table().vector
     removed = tuple(sorted(p for p in prob.logset
-                           if pairing(class_of(p), prob.twist) == -1))
+                           if _form(vector[p], twist) == -1))
     if not removed:
         return prob, ()
     reduced = VanishingProblem(prob.logset - set(removed), prob.twist,
@@ -275,13 +367,21 @@ def drop_reduce(prob):
 
 def canonical_problem(logset, twist):
     """Lexicographically least image of (logset, twist) over all 120 index
-    permutations; returns (key, permutation achieving it)."""
+    permutations; returns (key, permutation achieving it first).
+
+    Pole images are mapped as picard.map_pair does, on 0-based positions;
+    the twist image is the lattice matrix of picard.s5_transform, computed
+    only for permutations whose pole images do not already lose."""
+    poles = [(i - 1, j - 1) for i, j in logset]
+    v = twist.as_tuple()
     best = None
     best_t = None
     for t in PERMS:
-        ls = tuple(sorted(map_pair(t, p) for p in logset))
-        tw = s5_transform(t, twist).as_tuple()
-        key = (ls, tw)
+        ls = tuple(sorted([(t[i], t[j]) if t[i] < t[j] else (t[j], t[i])
+                           for i, j in poles]))
+        if best is not None and ls > best[0]:
+            continue
+        key = (ls, _matrix_times(_matrix_from_line_images(t), v))
         if best is None or key < best:
             best, best_t = key, t
     return best, best_t

@@ -125,16 +125,19 @@ class TestRigidity:
         assert done.stdout.strip() == "False"
 
     def test_witness_table_is_built_on_first_use(self):
+        # import and registry load build none of the prover's tables: the
+        # witness table, the line table and the rank cache
         src = os.path.dirname(os.path.dirname(hkrigidity.__file__))
         probe = ("import hkrigidity.cli; from hkrigidity import registry, vanishing; "
                  "registry.default_registry(); "
-                 "print(vanishing._subset_sums.cache_info().currsize)")
+                 "print(*(t.cache_info().currsize for t in (vanishing._subset_sums, "
+                 "vanishing._line_table, vanishing._line_rank)))")
         done = subprocess.run(
             [sys.executable, "-c", probe],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert done.stdout.strip() == "0"
+        assert done.stdout.strip() == "0 0 0"
 
     def test_explicit_registry_path(self, capsys, tmp_path):
         target = tmp_path / "axioms.txt"

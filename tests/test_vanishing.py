@@ -1,11 +1,13 @@
 """Tests for the vanishing-certificate engine."""
 
+import hashlib
 import random
 from itertools import product
 
 import pytest
 
 from hkrigidity.characters import Character, orbit_representatives, s5_act
+from hkrigidity.invariants import problem_histogram, rigidity_report
 from hkrigidity.picard import (
     DivisorClass,
     PAIRS,
@@ -14,6 +16,7 @@ from hkrigidity.picard import (
     class_of,
     invert,
     map_pair,
+    pairing,
     s5_transform,
 )
 from hkrigidity.registry import Registry, RegistryEntry, default_registry
@@ -103,6 +106,18 @@ class TestGvtCheck:
         assert (report.rank_value, report.rank_bound) == (4, 5)
         assert not report.passed
 
+    def test_pole_meeting_twist_below_minus_one_blocks(self):
+        # E1 - class{2,3} meets the pole E1 in -2; the same witness passes
+        # that condition when E1 carries no pole
+        twist = class_of((1, 5)) - class_of((2, 3))
+        report = gvt_check(VanishingProblem(frozenset({(1, 5), (2, 3)}), twist),
+                           ((1, 5),), ((2, 3),))
+        assert not report.pole_twist_ok
+        assert not report.passed
+        report = gvt_check(VanishingProblem(frozenset({(2, 3)}), twist),
+                           ((1, 5),), ((2, 3),))
+        assert report.pole_twist_ok
+
     def test_h2_flag_blocks(self):
         prob = VanishingProblem(
             STAR5, DivisorClass(1, (-1, -1, -1, -1)), h2_zero=False
@@ -128,6 +143,13 @@ class TestGvtCheck:
         prob = VanishingProblem(STAR5, DivisorClass(1, (-1, -1, -1, -1)))
         with pytest.raises(MalformedWitnessError):
             gvt_check(prob, ((1, 2), (2, 1)), ((1, 5), (2, 5)))
+
+    def test_accepts_iterators(self):
+        # each argument is read once, so one-shot iterators work
+        prob = VanishingProblem(STAR5, DivisorClass(1, (-1, -1, -1, -1)))
+        a, b = ((1, 2),), ((1, 5), (2, 5))
+        assert gvt_check(prob, iter(a), iter(b)) == gvt_check(prob, a, b)
+        assert gvt_check(prob, iter(a), iter(b)).passed
 
 
 class TestGvtSearch:
@@ -368,3 +390,58 @@ class TestEquivariance:
             assert moved_cert.kind == cert.kind
             assert replay(prob, cert, registry=registry).ok
             assert replay(moved_prob, moved_cert, registry=registry).ok
+
+
+# sha256 of repr(rigidity_report(n, orbit_mode=mode).records): the problem,
+# rows keyed and certificate of every distinct problem, pinned from the
+# class-object implementation of the engine.
+PINNED_RECORDS = {
+    (3, True): "5a1b63a215fe9fae40b18ca784bddb13dd980428def02836bea08183ce538233",
+    (4, True): "9a4d82ee563ecdce321b63cf6c26ecbb166fec9b4ea7308014aa229ddb810b71",
+    (5, True): "f2f54999576694ef231637c826e00a62ee585dbf1f60f085cca22d41ac64afe8",
+    (6, True): "c566c322cf28bf3bf7989ef255c9f4ae163b65182d563d1f87060fe4ce226796",
+    (3, False): "08e8be721aee6f41112dd1bd4991a0849bbdbf67d34cbb1a7212148e75d7de74",
+    (4, False): "cb117b6a8da65b28146bea0470de9c31de88a01ee383bc315deb7b84f04f8738",
+    (5, False): "09a1883c2b036b1bd3f39d88275a506204cd22efe5a6ed8f71b787abfb5ecbec",
+    (6, False): "237ba5b0ad0258ca2c9508e67dcae5acbe4b1e90988f8152c01b99f65e27b010",
+}
+
+
+@pytest.mark.parametrize("n,orbit_mode", sorted(PINNED_RECORDS))
+def test_pinned_certificates(n, orbit_mode):
+    records = rigidity_report(n, orbit_mode=orbit_mode).records
+    digest = hashlib.sha256(repr(records).encode("utf-8")).hexdigest()
+    assert digest == PINNED_RECORDS[n, orbit_mode]
+
+
+def oracle_canonical_problem(logset, twist):
+    """The definition of the canonical form: the least (sorted pole images,
+    twist image) over PERMS, with the first permutation reaching it."""
+    return min(
+        ((tuple(sorted(map_pair(t, p) for p in logset)),
+          s5_transform(t, twist).as_tuple()), t)
+        for t in PERMS
+    )
+
+
+def oracle_chi_log(logset, twist):
+    return (pairing(twist, twist) - 5
+            + sum(1 + pairing(class_of(p), twist) for p in logset))
+
+
+def oracle_drop_reduce(prob):
+    removed = tuple(sorted(p for p in prob.logset
+                           if pairing(class_of(p), prob.twist) == -1))
+    return prob.logset - set(removed), removed
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_integer_engine_matches_definitions(n):
+    for prob in problem_histogram(n, orbits=False):
+        reduced, removed = drop_reduce(prob)
+        assert (reduced.logset, removed) == oracle_drop_reduce(prob)
+        assert reduced.twist == prob.twist
+        for p in (prob, reduced):
+            assert (canonical_problem(p.logset, p.twist)
+                    == oracle_canonical_problem(p.logset, p.twist))
+            assert chi_log(p.logset, p.twist) == oracle_chi_log(p.logset, p.twist)
