@@ -7,7 +7,9 @@ can be assembled from an Euler-number stratification of the arrangement
 complement and from the character-by-character Euler characteristics of the
 twisted logarithmic sheaves.  This module computes all three routes and cross
 checks them, and drives the certification sweep, which proves each distinct
-problem of the n^5 characters once.
+problem of the n^5 characters once.  The character-sum route has one
+definition, histogram_chi_sum over a problem histogram, which the sweep, the
+checks battery and chi_theta_character_sum all call.
 """
 
 from __future__ import annotations
@@ -136,10 +138,15 @@ def problem_histogram(n: int, orbits: bool = True) -> dict:
                 *(a[order].tolist() for a in (keys, counts, rows, digits)))}
 
 
+def histogram_chi_sum(hist: dict) -> int:
+    """Sum of chi over a problem_histogram, each problem weighted by count."""
+    return sum(count * chi_log(prob.logset, prob.twist)
+               for prob, (count, _, _) in hist.items())
+
+
 def chi_theta_character_sum(n: int, orbits: bool = True) -> int:
     """Sum of chi over the twisted log problems of all n^5 characters."""
-    return sum(weight * chi_log(prob.logset, prob.twist)
-               for prob, (weight, _, _) in problem_histogram(n, orbits).items())
+    return histogram_chi_sum(problem_histogram(n, orbits))
 
 
 def chi_crosscheck(n: int, orbits: bool = True) -> bool:
@@ -244,7 +251,6 @@ def rigidity_report(
     engine = ProofEngine(registry)
     counts: Counter = Counter()
     unresolved, axioms, rules = set(), set(), set()
-    chi_sum = 0
     obstructed: dict = {}
     records = []
     for prob, (weight, psi, keyed) in hist.items():
@@ -252,7 +258,6 @@ def rigidity_report(
         records.append((prob, keyed, cert))
         counts[cert.kind] += weight
         rules |= rules_used(cert)
-        chi_sum += weight * chi_log(prob.logset, prob.twist)
         axioms.update(node.registry_id for node in certificate_chain(cert)
                       if node.kind == "registry")
         if cert.kind == "unresolved":
@@ -270,6 +275,7 @@ def rigidity_report(
             f"certificate tally covers {sum(tally.values())} of {n ** 5} characters"
         )
     inv = closed_form(n)
+    chi_sum = histogram_chi_sum(hist)
     euler_strat = euler_by_stratification(n)
     crosscheck = chi_sum == inv.chi_theta and euler_strat == inv.euler
     nonvan = tuple(

@@ -191,10 +191,6 @@ def _matrix_times(m, v):
                  for r in m)
 
 
-def _apply_matrix(m, cls):
-    return DivisorClass.from_tuple(_matrix_times(m, cls.as_tuple()))
-
-
 @lru_cache(maxsize=None)
 def _matrix_from_line_images(t):
     """Lattice matrix of a permutation, solved from the ten line images.
@@ -218,7 +214,8 @@ def _matrix_from_line_images(t):
 
 def s5_transform(t, cls):
     """Lattice automorphism induced by a permutation of the five indices."""
-    return _apply_matrix(_matrix_from_line_images(tuple(t)), cls)
+    m = _matrix_from_line_images(tuple(t))
+    return DivisorClass.from_tuple(_matrix_times(m, cls.as_tuple()))
 
 
 # ---------------------------------------------------------------------------

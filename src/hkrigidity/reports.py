@@ -19,14 +19,6 @@ def to_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _pairs(logset) -> list:
-    return [list(p) for p in logset]
-
-
-def _twist(t) -> list:
-    return list(t)
-
-
 def rigidity_payload(report: RigidityReport) -> dict:
     inv = report.invariants
     return {
@@ -40,13 +32,13 @@ def rigidity_payload(report: RigidityReport) -> dict:
         "verdict_tally": dict(report.tally),
         "rigid": report.rigid,
         "unresolved_keys": [
-            {"logset": _pairs(ls), "twist": _twist(tw)}
+            {"logset": [list(p) for p in ls], "twist": list(tw)}
             for ls, tw in report.unresolved_keys
         ],
         "nonvanishing_witnesses": [
             {
-                "logset": _pairs(w.logset),
-                "twist": _twist(w.twist),
+                "logset": [list(p) for p in w.logset],
+                "twist": list(w.twist),
                 "chi": w.chi,
                 "h1_lower_bound": w.h1_lower_bound,
                 "characters": w.characters,

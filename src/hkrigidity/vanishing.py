@@ -55,9 +55,6 @@ class VanishingProblem:
 
     blowups = 4
 
-    def sorted_lines(self):
-        return tuple(sorted(self.logset))
-
 
 def problem_of(psi):
     """The vanishing problem controlling the psi-isotypical part of the

@@ -188,6 +188,12 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert err.value.code == 3
 
+    def test_retired_orbits_flag(self, capsys):
+        # orbit mode is the default; the flag that named it is gone
+        with pytest.raises(SystemExit) as err:
+            main(["rigidity", "--n", "4", "--orbits"])
+        assert err.value.code == 3
+
     def test_conflicting_exponent_flags(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["rigidity", "--n", "4", "--n-range", "4..5"])
@@ -310,8 +316,8 @@ class TestChecks:
         assert cli._rank_exception_sweep(4, tripled) == expected
 
     def test_each_character_keyed_once(self, capsys, monkeypatch):
-        # one full-mode histogram serves the rank and invariant rows; the
-        # report and the chi cross-check at min(ns) key one row per orbit
+        # one full-mode histogram serves the rank, invariant and chi rows;
+        # the report at min(ns) is the only orbit pass, one row per orbit
         rows = []
         real = characters.block_geometry
 
@@ -324,7 +330,30 @@ class TestChecks:
         code, out = run(capsys, ["checks", "--n-range", "8..8"])
         assert code == 0
         assert "32768 characters, 0 failures" in out
-        assert sum(rows) == 8**5 + 2 * characters.orbit_count(8)
+        assert sum(rows) == 8**5 + characters.orbit_count(8)
+
+    def test_chi_row_fails_when_one_problem_is_off(self, capsys, monkeypatch):
+        real = vanishing.chi_log
+        target = next(iter(invariants.problem_histogram(4, orbits=False)))
+
+        def skewed(logset, twist):
+            chi = real(logset, twist)
+            if logset == target.logset and twist == target.twist:
+                return chi + 1
+            return chi
+
+        monkeypatch.setattr(invariants, "chi_log", skewed)
+        code, out = run(capsys, ["checks", "--n-range", "4..4"])
+        assert code == 1
+        assert "[FAIL] chi_character_sum" in out
+        assert "[ok] character_invariants" in out
+
+    def test_checks_json_bytes_pinned(self, capsys):
+        # sha256 of the stdout of checks --n-range 3..8 --json
+        code, out = run(capsys, ["checks", "--n-range", "3..8", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "f6a853f130d7ea17b811c78a571c279915bb78751e257f48da66e97cda424737")
 
     def test_replay_runs_once_per_distinct_problem(self, capsys, monkeypatch):
         problems = []
