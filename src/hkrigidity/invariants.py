@@ -133,7 +133,7 @@ def problem_histogram(n: int, orbits: bool = True) -> dict:
             f"{rows.sum()} orbit representatives at n={n}, "
             f"Burnside count {orbit_count(n)}")
     order = np.argsort(codes)
-    return {problem_of_key(key, n): [count, Character(n, tuple(row)), keyed]
+    return {problem_of_key(key): [count, Character(n, tuple(row)), keyed]
             for key, count, keyed, row in zip(
                 *(a[order].tolist() for a in (keys, counts, rows, digits)))}
 

@@ -116,8 +116,9 @@ def chi_of(problem):
     return total
 
 
-def replay(problem, cert, registry=None):
-    """Re-validate a certificate against its problem from scratch."""
+def replay(problem, cert, registry):
+    """Re-validate a certificate against its problem from scratch; axiom
+    certificates must name the registry.Registry entry of their problem."""
     return _replay(problem, cert, registry)
 
 
@@ -133,8 +134,6 @@ def _honest_table():
 
 def _replay(problem, cert, registry):
     if isinstance(cert, NonVanishing):
-        if not problem.h2_zero:
-            return _fail("non-vanishing needs the h2 axiom")
         chi = chi_of(problem)
         if chi != cert.chi or chi >= 0:
             return _fail(f"chi mismatch: recomputed {chi}, certificate {cert.chi}")
@@ -155,13 +154,10 @@ def _replay(problem, cert, registry):
         for p in removed:
             if form_product(line_vector(p), twist) != -1:
                 return _fail(f"removed line {p} does not meet the twist in -1")
-        reduced = VanishingProblem(problem.logset - removed, problem.twist,
-                                   problem.h2_zero)
+        reduced = VanishingProblem(problem.logset - removed, problem.twist)
         return _replay(reduced, cert.inner, registry)
 
     if isinstance(cert, ExternalAxiom):
-        if registry is None:
-            return _fail("axiom certificate without a registry")
         key, _ = canonical_problem(problem.logset, problem.twist)
         entry = registry.lookup(key)
         if entry is None:
@@ -188,8 +184,6 @@ def _replay_gvt(problem, cert):
     diff = tuple(a - b for a, b in zip(_vec_sum(aset), _vec_sum(bset)))
     if diff != twist:
         return _fail("class identity A - B = twist fails")
-    if not problem.h2_zero:
-        return _fail("criterion condition 1: h2 axiom missing")
     for p in aset & problem.logset:
         if form_product(line_vector(p), twist) < -1:
             return _fail(f"criterion condition 2 fails at {p}")

@@ -14,9 +14,18 @@ certifies h^1 = 0 through three rules
     search cannot close (classical rigidity facts, recorded with their
     justification),
 
-or reports forced non-vanishing when the Euler characteristic is negative
-and h^2 vanishes.  Certificates are plain data and replay through an
-independent checker; the search is never trusted.
+or reports forced non-vanishing when the Euler characteristic is negative.
+Certificates are plain data and replay through an independent checker; the
+search is never trusted.
+
+Non-vanishing reads chi < 0 as h^1 >= -chi, which needs h^2 = 0.  The h^2
+of a character block is dual to a character part of H^0 of the covering
+surface's tangent sheaf, and that vanishes at every exponent n >= 2.  For
+n >= 3 the canonical class of the cover is the pullback of the ample class
+((n - 2)/n)(-K_Y) (Bauer-Catanese, arXiv 1609.08128), so the cover is of
+general type and has no vector fields.  At n = 2 the canonical class is 0,
+chi(O) = 2 and e = 24, so the cover is a K3 surface (Barth-Hulek-Peters-
+Van de Ven, Compact Complex Surfaces, ch. VIII), which has none either.
 """
 
 from dataclasses import dataclass
@@ -44,29 +53,27 @@ class MalformedWitnessError(ValueError):
 
 @dataclass(frozen=True)
 class VanishingProblem:
-    """Log-pole line set plus twist class; h2_zero records the axiom that
-    the sheaf has no second cohomology (true for all problems derived
-    from covering characters with exponent at least 3).  The class
-    constant blowups is the number of blown-up points of the surface."""
+    """Log-pole line set plus twist class.  The class constant blowups is
+    the number of blown-up points of the surface."""
 
     logset: frozenset
     twist: DivisorClass
-    h2_zero: bool = True
 
     blowups = 4
+    # h^2 = 0 for every problem (module docstring); read by the benchmark
+    h2_zero = True
 
 
 def problem_of(psi):
     """The vanishing problem controlling the psi-isotypical part of the
     covering surface's infinitesimal deformations."""
     g = geometry_of(psi)
-    return VanishingProblem(logset=g.logset, twist=g.twist, h2_zero=psi.n >= 3)
+    return VanishingProblem(logset=g.logset, twist=g.twist)
 
 
-def problem_of_key(key, n):
-    """The problem of a characters.problem_keys key at exponent n."""
-    logset, twist = decode_key(key)
-    return VanishingProblem(logset=logset, twist=twist, h2_zero=n >= 3)
+def problem_of_key(key):
+    """The problem of a characters.problem_keys key."""
+    return VanishingProblem(*decode_key(key))
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +230,10 @@ def rules_used(cert):
 
 @dataclass(frozen=True)
 class GvtReport:
-    """Outcome of the four conditions of the vanishing criterion.
+    """Outcome of the vanishing criterion's conditions.  Its h^2 = 0
+    condition holds for every problem (module docstring) and is not
+    reported.
 
-    h2_ok: the h^2 axiom flag is set.
     pole_twist_ok: every witness line carrying a log pole meets the twist
         in at least -1.
     positivity_ok: every witness line meets the residual pole-plus-witness
@@ -234,7 +242,6 @@ class GvtReport:
         after the correction term for lines meeting B more than once.
     """
 
-    h2_ok: bool
     pole_twist_ok: bool
     positivity_ok: bool
     rank_ok: bool
@@ -244,13 +251,13 @@ class GvtReport:
 
     @property
     def passed(self):
-        return self.h2_ok and self.pole_twist_ok and self.positivity_ok and self.rank_ok
+        return self.pole_twist_ok and self.positivity_ok and self.rank_ok
 
 
 def gvt_check(prob, a_lines, b_lines):
     """Evaluate the vanishing-criterion conditions for a decomposition
     twist = (sum of A) - (sum of B).  Structural violations raise; the
-    four conditions are reported individually."""
+    conditions are reported individually."""
     a_lines, b_lines = tuple(a_lines), tuple(b_lines)
     aset = frozenset(make_pair(*p) for p in a_lines)
     bset = frozenset(make_pair(*p) for p in b_lines)
@@ -264,8 +271,7 @@ def gvt_check(prob, a_lines, b_lines):
     twist = prob.twist.as_tuple()
     if tuple(map(sub, _mask_class(amask), _mask_class(bmask))) != twist:
         raise MalformedWitnessError("class identity A - B = twist fails")
-    return _criterion(prob.h2_zero, _mask_of(prob.logset),
-                      _steep_poles(prob.logset, twist),
+    return _criterion(_mask_of(prob.logset), _steep_poles(prob.logset, twist),
                       amask, bmask)
 
 
@@ -275,8 +281,8 @@ def _steep_poles(logset, twist):
     return _mask_of(p for p in logset if _form(vector[p], twist) < -1)
 
 
-def _criterion(h2_zero, logmask, steep, amask, bmask):
-    """The four criterion conditions for witness masks A and B, given the
+def _criterion(logmask, steep, amask, bmask):
+    """The criterion conditions for witness masks A and B, given the
     pole mask and the mask of pole lines meeting the twist below -1."""
     lines = _line_table()
     cond2 = not amask & steep
@@ -297,8 +303,8 @@ def _criterion(h2_zero, logmask, steep, amask, bmask):
                 correction += hits - 1
     rank_value = _line_rank(orthogonal)
     rank_bound = VanishingProblem.blowups + 1 - bmask.bit_count() + correction
-    return GvtReport(h2_ok=h2_zero, pole_twist_ok=cond2,
-                     positivity_ok=cond3, rank_ok=rank_value >= rank_bound,
+    return GvtReport(pole_twist_ok=cond2, positivity_ok=cond3,
+                     rank_ok=rank_value >= rank_bound,
                      rank_value=rank_value, rank_bound=rank_bound,
                      correction=correction)
 
@@ -312,7 +318,7 @@ def gvt_search(prob):
     class sum come from a precomputed table, by ascending line bitmask.
     B lies in the pole set, A is disjoint from B by the skip below, and
     A - B = twist because the table is keyed by class sum, so only the
-    four conditions are evaluated.
+    criterion conditions are evaluated.
     """
     vector = _line_table().vector
     logmask = _mask_of(prob.logset)
@@ -328,8 +334,8 @@ def gvt_search(prob):
             targets[bmask] = tuple(map(add, targets[bmask ^ low],
                                        vector[PAIRS[low.bit_length() - 1]]))
         for amask in sums.get(targets[bmask], ()):
-            if not amask & bmask and _criterion(prob.h2_zero, logmask, steep,
-                                                amask, bmask).passed:
+            if (not amask & bmask
+                    and _criterion(logmask, steep, amask, bmask).passed):
                 return _mask_pairs(amask), _mask_pairs(bmask)
         # next subset of the pole mask in ascending order
         bmask = (bmask - logmask) & logmask
@@ -353,9 +359,7 @@ def drop_reduce(prob):
                            if _form(vector[p], twist) == -1))
     if not removed:
         return prob, ()
-    reduced = VanishingProblem(prob.logset - set(removed), prob.twist,
-                               prob.h2_zero)
-    return reduced, removed
+    return VanishingProblem(prob.logset - set(removed), prob.twist), removed
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +396,16 @@ class ProofEngine:
     """Deterministic certificate pipeline over problems.
 
     Each problem passes once through a fixed sequence of stages: forced
-    non-vanishing when the Euler characteristic is negative (with the h^2
-    axiom), then pole dropping, then the direct witness search, then the
-    axiom registry keyed on the canonical form.  The canonical form is
-    computed only when the witness search fails; it keys the registry and
-    the unresolved record.
+    non-vanishing when the Euler characteristic is negative, then pole
+    dropping, then the direct witness search, then the axiom registry
+    (a registry.Registry; Registry(()) is the empty one) keyed on the
+    canonical form.  The canonical form is computed only when the witness
+    search fails; it keys the registry and the unresolved record.
 
     Results are memoized per exact problem.
     """
 
-    def __init__(self, registry=None):
+    def __init__(self, registry):
         self.registry = registry
         self._memo = {}
 
@@ -411,12 +415,9 @@ class ProofEngine:
             cert = self._memo[prob] = self._solve(prob)
         return cert
 
-    def prove_character(self, psi):
-        return self.prove(problem_of(psi))
-
     def _solve(self, prob):
         chi = chi_log(prob.logset, prob.twist)
-        if chi < 0 and prob.h2_zero:
+        if chi < 0:
             return NonVanishing(chi, -chi)
 
         reduced, removed = drop_reduce(prob)
@@ -426,7 +427,7 @@ class ProofEngine:
             cert = GvtWitness(tuple(sorted(a)), tuple(sorted(b)))
         else:
             ckey, _ = canonical_problem(reduced.logset, reduced.twist)
-            entry = None if self.registry is None else self.registry.lookup(ckey)
+            entry = self.registry.lookup(ckey)
             if entry is None:
                 return Unresolved(*ckey)
             cert = ExternalAxiom(entry.id)

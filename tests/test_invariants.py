@@ -20,6 +20,8 @@ from hkrigidity.invariants import (
     problem_histogram,
     rigidity_report,
 )
+from hkrigidity.registry import Registry, default_registry
+from hkrigidity.replay import replay
 from hkrigidity.vanishing import problem_of, problem_of_key
 
 
@@ -104,19 +106,21 @@ class TestProblemHistogram:
         # problems come in order of their least character
         assert list(got) == sorted(expected, key=lambda prob: expected[prob][1])
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    # n = 9 is the first exponent whose full mode folds several blocks
+    # (8^5 = CHUNK characters fill one)
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_matches_brute_force_count(self, n):
         self.check_against_problem_of(
             n, False, ((psi, 1) for psi in all_characters(n)))
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_orbit_mode_matches_per_representative_count(self, n):
         self.check_against_problem_of(n, True, orbit_representatives(n))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_keys_match_problem_of_row_by_row(self, n):
         keys = problem_keys(all_digits(n), n).tolist()
-        assert [problem_of_key(k, n) for k in keys] == [
+        assert [problem_of_key(k) for k in keys] == [
             problem_of(psi) for psi in all_characters(n)]
 
     @pytest.mark.parametrize("name", ["LOOP_MATRIX", "CLASS_MATRIX"])
@@ -176,26 +180,28 @@ class TestRigidityReport:
         assert report.axiom_ids == ("axiom-01", "axiom-02")
         assert report.crosscheck_ok
 
-    def test_exponent_two_left_unresolved(self):
-        # the only accepted exponent the shipped registry leaves unresolved
-        report = rigidity_report(2)
-        assert report.exit_code == 2
+    def test_exponent_two_is_the_k3_count(self):
+        # the exponent-2 cover is a K3 surface: the nonvanishing bounds add
+        # up to h^1 of its tangent sheaf, 20, and the other blocks vanish
+        registry = default_registry()
+        report = rigidity_report(2, registry)
+        assert report.exit_code == 1
         assert {k: v for k, v in report.tally.items() if v} == {
             "drop": 16,
-            "unresolved": 16,
+            "nonvanishing": 16,
         }
-        assert report.unresolved_keys == (
-            ((), (0, 0, 0, 0, 0)),
-            (((1, 2), (1, 3), (2, 4), (3, 4)), (-2, 1, 1, 1, 1)),
-        )
+        bounds = sum(r.h1_lower_bound * r.characters for r in report.nonvanishing)
+        assert bounds == -closed_form(2).chi_theta == 20
+        for prob, _, cert in report.records:
+            assert replay(prob, cert, registry).ok
 
     def test_exponent_two_without_registry(self):
-        from hkrigidity.registry import Registry
-
+        # an empty registry leaves open exactly the shipped axioms' problems
         report = rigidity_report(2, Registry(()))
-        assert report.exit_code == 2
-        assert report.tally["unresolved"] == 32
-        assert len(report.unresolved_keys) == 4
+        assert report.exit_code == 1
+        assert report.tally["nonvanishing"] == 16
+        assert report.unresolved_keys == tuple(
+            entry.key for entry in default_registry().entries)
 
     def test_tally_always_covers_all_characters(self):
         for n in (3, 4, 5):
@@ -216,8 +222,6 @@ class TestRigidityReport:
             assert orbit.orbit_count == full.orbit_count
 
     def test_missing_registry_leaves_unresolved(self):
-        from hkrigidity.registry import Registry
-
         report = rigidity_report(4, Registry(()))
         assert not report.rigid
         assert report.exit_code == 2

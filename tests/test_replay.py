@@ -13,7 +13,7 @@ import pytest
 from hkrigidity.characters import Character, orbit_representatives
 from hkrigidity.picard import PAIRS, class_of, pairing
 from hkrigidity import replay as replay_mod
-from hkrigidity.registry import default_registry
+from hkrigidity.registry import Registry, default_registry
 from hkrigidity.replay import (
     ReplayError,
     build_table,
@@ -99,7 +99,7 @@ class TestReplayVerdicts:
 
     def test_unresolved_raises(self):
         prob = problem_of(Character(4, (0, 0, 0, 0, 0)))
-        cert = ProofEngine(registry=None).prove(prob)
+        cert = ProofEngine(Registry(())).prove(prob)
         assert cert.kind == "unresolved"
         with pytest.raises(ReplayError):
             replay(prob, cert, registry=self.registry)
@@ -172,7 +172,7 @@ class TestTamperDetection:
 
     def test_axiom_needs_registry(self):
         prob, cert = self._cert_of(4, (0, 0, 0, 0, 0))
-        assert not replay(prob, cert, registry=None).ok
+        assert not replay(prob, cert, registry=Registry(())).ok
 
     def test_wrong_problem_rejected(self):
         prob, cert = self._cert_of(5, (1, 1, 1, 1, 0))

@@ -118,12 +118,6 @@ class TestGvtCheck:
                            ((1, 5),), ((2, 3),))
         assert report.pole_twist_ok
 
-    def test_h2_flag_blocks(self):
-        prob = VanishingProblem(
-            STAR5, DivisorClass(1, (-1, -1, -1, -1)), h2_zero=False
-        )
-        assert not gvt_check(prob, ((1, 2),), ((1, 5), (2, 5))).passed
-
     def test_rejects_overlapping_witness(self):
         prob = VanishingProblem(STAR5, ZERO)
         with pytest.raises(MalformedWitnessError):
@@ -257,12 +251,12 @@ class TestCanonical:
 class TestEngine:
     def test_obstructed_character_at_exponent_three(self):
         engine = ProofEngine(default_registry())
-        cert = engine.prove_character(Character(3, (2, 2, 2, 1, 1)))
+        cert = engine.prove(problem_of(Character(3, (2, 2, 2, 1, 1))))
         assert cert == NonVanishing(chi=-1, h1_lower_bound=1)
 
     def test_zero_character_uses_invariant_axiom(self):
         engine = ProofEngine(default_registry())
-        cert = engine.prove_character(Character(4, (0, 0, 0, 0, 0)))
+        cert = engine.prove(problem_of(Character(4, (0, 0, 0, 0, 0))))
         assert cert.kind == "drop"
         assert len(cert.removed) == 10
         assert cert.inner == ExternalAxiom(registry_id="axiom-01")
@@ -271,16 +265,16 @@ class TestEngine:
         engine = ProofEngine(default_registry())
         used = set()
         for psi, _ in orbit_representatives(5):
-            cert = engine.prove_character(psi)
+            cert = engine.prove(problem_of(psi))
             used |= {node.registry_id for node in certificate_chain(cert)
                      if node.kind == "registry"}
         assert used == {"axiom-01", "axiom-02"}
 
     def test_without_registry_two_problem_kinds_stay_open(self):
-        engine = ProofEngine(registry=None)
+        engine = ProofEngine(Registry(()))
         open_keys = set()
         for psi, _ in orbit_representatives(5):
-            cert = engine.prove_character(psi)
+            cert = engine.prove(problem_of(psi))
             if cert.kind == "drop":
                 cert = cert.inner
             if cert.kind == "unresolved":
@@ -304,7 +298,7 @@ class TestEngine:
         engine = ProofEngine(default_registry())
         tally = {}
         for psi, size in orbit_representatives(n):
-            kind = engine.prove_character(psi).kind
+            kind = engine.prove(problem_of(psi)).kind
             tally[kind] = tally.get(kind, 0) + size
         assert tally == expected
         assert sum(tally.values()) == n**5
@@ -325,17 +319,17 @@ class TestEngine:
 
         monkeypatch.setattr(vanishing, "canonical_problem", counting)
         engine = ProofEngine(default_registry())
-        cert = engine.prove_character(Character(5, (1, 2, 3, 4, 0)))
+        cert = engine.prove(problem_of(Character(5, (1, 2, 3, 4, 0))))
         assert rules_used(cert) in ({"gvt"}, {"drop", "gvt"})
         assert calls == []
-        cert = engine.prove_character(Character(4, (0, 0, 0, 0, 0)))
+        cert = engine.prove(problem_of(Character(4, (0, 0, 0, 0, 0))))
         assert cert.kind == "drop"
         assert cert.inner == ExternalAxiom(registry_id="axiom-01")
         assert calls
 
     def test_unresolved_carries_canonical_key(self):
-        engine = ProofEngine(registry=None)
-        cert = engine.prove_character(Character(4, (0, 0, 0, 0, 0)))
+        engine = ProofEngine(Registry(()))
+        cert = engine.prove(problem_of(Character(4, (0, 0, 0, 0, 0))))
         inner = cert.inner if cert.kind == "drop" else cert
         assert inner == Unresolved(
             canonical_logset=(), canonical_twist=(-3, 1, 1, 1, 1)
@@ -343,7 +337,7 @@ class TestEngine:
 
     def test_rules_used_walks_the_tree(self):
         engine = ProofEngine(default_registry())
-        cert = engine.prove_character(Character(4, (0, 0, 0, 0, 0)))
+        cert = engine.prove(problem_of(Character(4, (0, 0, 0, 0, 0))))
         assert rules_used(cert) == {"drop", "registry"}
 
 
@@ -384,7 +378,6 @@ class TestEquivariance:
             moved_prob = VanishingProblem(
                 frozenset(map_pair(t, p) for p in prob.logset),
                 s5_transform(t, prob.twist),
-                h2_zero=prob.h2_zero,
             )
             moved_cert = engine.prove(moved_prob)
             assert moved_cert.kind == cert.kind
@@ -394,16 +387,17 @@ class TestEquivariance:
 
 # sha256 of repr(rigidity_report(n, orbit_mode=mode).records): the problem,
 # rows keyed and certificate of every distinct problem, pinned from the
-# class-object implementation of the engine.
+# class-object implementation of the engine, with ", h2_zero=True" removed
+# from each problem's repr once h^2 = 0 stopped being a per-problem field.
 PINNED_RECORDS = {
-    (3, True): "5a1b63a215fe9fae40b18ca784bddb13dd980428def02836bea08183ce538233",
-    (4, True): "9a4d82ee563ecdce321b63cf6c26ecbb166fec9b4ea7308014aa229ddb810b71",
-    (5, True): "f2f54999576694ef231637c826e00a62ee585dbf1f60f085cca22d41ac64afe8",
-    (6, True): "c566c322cf28bf3bf7989ef255c9f4ae163b65182d563d1f87060fe4ce226796",
-    (3, False): "08e8be721aee6f41112dd1bd4991a0849bbdbf67d34cbb1a7212148e75d7de74",
-    (4, False): "cb117b6a8da65b28146bea0470de9c31de88a01ee383bc315deb7b84f04f8738",
-    (5, False): "09a1883c2b036b1bd3f39d88275a506204cd22efe5a6ed8f71b787abfb5ecbec",
-    (6, False): "237ba5b0ad0258ca2c9508e67dcae5acbe4b1e90988f8152c01b99f65e27b010",
+    (3, True): "15a8299dc2facb48939135b7486a80ecc674abc9b61d182b69ed27d2fa15a773",
+    (4, True): "453ec7e777f5af6615ab92c62ccf61ca065018adda1a6958b021d0f736e574c9",
+    (5, True): "5dd4fb6b5f57fd732eba0198d3543fe937e54d4d06e50222e100cc88fe490bfa",
+    (6, True): "5a3b8057416e1d924ca0f965bd51e0d502c35a156d25e24b590ee4e23c29413c",
+    (3, False): "15bd5b1a3dcbdd021ebee3b618356f9bb238c04e3045c89029ab0e059fb9588c",
+    (4, False): "549b4744443661618427dffb01b601402c908791807193cbec60dff0fc318e04",
+    (5, False): "2155fb88a30b0c0f3fd748aa77f17c066280babbf660ff4c26a49e585a081644",
+    (6, False): "c1983feab0d45232015bdfa87a526b1f83d084c12d8a27d72c945025724aaf5b",
 }
 
 
