@@ -54,16 +54,15 @@ def sequence(m: int) -> SequenceTriple:
 
 def normalize(v: tuple) -> tuple:
     """Primitive integer representative with positive leading entry."""
-    if not any(v):
+    g = gcd(*v)
+    if not g:
         raise ValueError("zero vector has no projective class")
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    v = tuple(x // g for x in v)
     for x in v:
         if x:
-            return v if x > 0 else tuple(-y for y in v)
-    raise AssertionError("unreachable")
+            break
+    if x < 0:
+        g = -g
+    return tuple(y // g for y in v)
 
 
 def cross(u: tuple, v: tuple) -> tuple:
@@ -148,7 +147,15 @@ def build_configuration(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Intersection-point census of one configuration level."""
+    """Intersection-point census of one configuration level.
+
+    Two distinct lines meet in exactly one point, so a point's valency is
+    the number of lines in the pairs that cross there.  pair_identity_ok
+    holds when every line recorded through a point is incident with it
+    (form . point = 0) and the sum of C(v, 2) over the valencies v equals
+    C(L, 2) for the L lines.  A failed incidence makes it false rather than
+    raising, so a caller reports the level as failed.
+    """
 
     n: int
     line_count: int
@@ -170,15 +177,29 @@ def expected_tally(n: int) -> dict:
 
 
 def census(n: int) -> CensusReport:
+    """Census of the intersection points of level n and their valencies.
+
+    Two distinct lines meet in exactly one point, so the lines through p are
+    exactly the lines of the pairs whose crossing normalises to p: one pass
+    over the C(L, 2) pairs records each point's lines, and its valency is
+    their number.  Each recorded line is checked against its point by
+    incidence, and the pair identity sum C(v, 2) = C(L, 2) holds exactly
+    when every point's pairs are all the pairs of its lines, as a consistent
+    normalize gives.  A normalize that splits a point into several keys
+    breaks the identity or lowers the point's valency, which the tally
+    check against expected_tally sees.  A failed incidence leaves
+    pair_identity_ok false instead of raising.
+    """
     lines = build_configuration(n)
-    seen = set()
-    for u, v in combinations(lines, 2):
-        seen.add(normalize(cross(u, v)))
-    points = tuple(
-        sorted((p, sum(1 for u in lines if dot(u, p) == 0)) for p in seen)
-    )
+    through = {}
+    for (i, u), (j, v) in combinations(enumerate(lines), 2):
+        through.setdefault(normalize(cross(u, v)), set()).update((i, j))
+    incident = all(dot(lines[i], p) == 0
+                   for p, members in through.items() for i in members)
+    points = tuple(sorted((p, len(members)) for p, members in through.items()))
     tally = dict(Counter(v for _, v in points))
-    pair_ok = sum(comb(v, 2) for _, v in points) == comb(len(lines), 2)
+    pair_ok = incident and (
+        sum(comb(v, 2) for _, v in points) == comb(len(lines), 2))
     return CensusReport(
         n=n,
         line_count=len(lines),

@@ -1,12 +1,17 @@
 """Tests for the iterated line-configuration census."""
 
+from math import gcd
+
 import pytest
 
+from hkrigidity import cb_arrangements
 from hkrigidity.cb_arrangements import (
     build_configuration,
     census,
     contract_line,
     corner_at_level,
+    cross,
+    dot,
     expected_tally,
     line_at_level,
     normalize,
@@ -135,6 +140,63 @@ class TestCensus:
             # axis plus two cross-pencil lines at the level, plus the next
             # line of the own pencil
             assert by_coords[corner_at_level(1, m)] == 4
+
+
+def scanned_points(n):
+    """Oracle: every crossing's valency by testing it against all lines."""
+    lines = build_configuration(n)
+    seen = {normalize(cross(u, v))
+            for i, u in enumerate(lines) for v in lines[i + 1:]}
+    return tuple(sorted((p, sum(1 for u in lines if dot(u, p) == 0))
+                        for p in seen))
+
+
+def without_sign_flip(v):
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    return tuple(x // g for x in v)
+
+
+def without_gcd_division(v):
+    for x in v:
+        if x:
+            return v if x > 0 else tuple(-y for y in v)
+    raise ValueError("zero vector has no projective class")
+
+
+class TestCensusFaults:
+    @pytest.mark.parametrize("n", list(range(0, 21)))
+    def test_points_match_all_lines_scan(self, n):
+        assert census(n).points == scanned_points(n)
+
+    @pytest.mark.parametrize("fault", [without_sign_flip, without_gcd_division])
+    @pytest.mark.parametrize("n", list(range(1, 9)))
+    def test_inconsistent_normalize_is_caught(self, monkeypatch, fault, n):
+        monkeypatch.setattr(cb_arrangements, "normalize", fault)
+        report = census(n)
+        assert not (report.pair_identity_ok and report.formula_ok)
+
+    def test_wrong_crossing_fails_without_raising(self, monkeypatch):
+        # move one pair off its valency-2 point to a point on neither line
+        # and on no other pair: tally and pair sum stay right, so only the
+        # incidence check sees it
+        lines = build_configuration(3)
+        valency = dict(census(3).points)
+        pair = next((u, v) for i, u in enumerate(lines) for v in lines[i + 1:]
+                    if valency[normalize(cross(u, v))] == 2)
+        wrong = (1, 2, 4)
+        assert wrong not in valency and dot(pair[0], wrong) and dot(pair[1], wrong)
+        real = cb_arrangements.cross
+
+        def skewed(u, v):
+            return wrong if (u, v) == pair else real(u, v)
+
+        monkeypatch.setattr(cb_arrangements, "cross", skewed)
+        report = census(3)
+        assert report.formula_ok
+        assert not report.pair_identity_ok
+        assert not cb_arrangements.verify_propositions(3).ok
 
 
 class TestPropositions:

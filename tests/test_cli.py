@@ -332,6 +332,21 @@ class TestChecks:
         assert "32768 characters, 0 failures" in out
         assert sum(rows) == 8**5 + characters.orbit_count(8)
 
+    def test_each_logset_classified_once(self, capsys, monkeypatch):
+        calls = []
+        real = cli.classify_logset
+
+        def counted(logset, n):
+            calls.append(logset)
+            return real(logset, n)
+
+        monkeypatch.setattr(cli, "classify_logset", counted)
+        code, _ = run(capsys, ["checks", "--n-range", "4..4"])
+        hist = invariants.problem_histogram(4, orbits=False)
+        assert code == 0
+        assert len(calls) == len({prob.logset for prob in hist})
+        assert len(calls) < len(hist)
+
     def test_chi_row_fails_when_one_problem_is_off(self, capsys, monkeypatch):
         real = vanishing.chi_log
         target = next(iter(invariants.problem_histogram(4, orbits=False)))
@@ -386,6 +401,13 @@ class TestChecks:
 
 
 class TestCb:
+    def test_cb_json_bytes_pinned(self, capsys):
+        # sha256 of the stdout of cb --n 32 --json
+        code, out = run(capsys, ["cb", "--n", "32", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "9f8d4348c2fe78f26614526eed2e5bc1be37614e5f61b94cab3f2dcfa1103584")
+
     def test_census_text(self, capsys):
         code, out = run(capsys, ["cb", "--n", "2"])
         assert code == 0
