@@ -109,11 +109,9 @@ def corner_at_level(i: int, m: int) -> tuple:
 
 
 def pencil_base(i: int) -> tuple:
-    """Common point of all level lines in the i-th pencil."""
-    coords = [0, 0, 0]
-    j, k = [x for x in range(3) if x != i - 1]
-    coords[j], coords[k] = 1, -1
-    return normalize(tuple(coords))
+    """Common point of all level lines in the i-th pencil; its coordinates
+    are those of the i-th axis form."""
+    return axis_line(i)
 
 
 def axis_line(i: int) -> tuple:
@@ -176,24 +174,29 @@ def expected_tally(n: int) -> dict:
     return {v: c for v, c in tally.items() if c}
 
 
-def census(n: int) -> CensusReport:
-    """Census of the intersection points of level n and their valencies.
-
-    Two distinct lines meet in exactly one point, so the lines through p are
-    exactly the lines of the pairs whose crossing normalises to p: one pass
-    over the C(L, 2) pairs records each point's lines, and its valency is
-    their number.  Each recorded line is checked against its point by
-    incidence, and the pair identity sum C(v, 2) = C(L, 2) holds exactly
-    when every point's pairs are all the pairs of its lines, as a consistent
-    normalize gives.  A normalize that splits a point into several keys
-    breaks the identity or lowers the point's valency, which the tally
-    check against expected_tally sees.  A failed incidence leaves
-    pair_identity_ok false instead of raising.
-    """
-    lines = build_configuration(n)
+def _crossings(lines: tuple) -> dict:
+    """Map each crossing of the lines to the set of indices of its lines."""
     through = {}
     for (i, u), (j, v) in combinations(enumerate(lines), 2):
         through.setdefault(normalize(cross(u, v)), set()).update((i, j))
+    return through
+
+
+def census(n: int) -> CensusReport:
+    """Census of the intersection points of level n and their valencies.
+
+    Two distinct lines meet in exactly one point, so one pass over the
+    C(L, 2) pairs (_crossings) records the lines through each point, and its
+    valency is their number.  Each recorded line is checked against its
+    point by incidence, and the pair identity sum C(v, 2) = C(L, 2) holds
+    exactly when every point's pairs are all the pairs of its lines, as a
+    consistent normalize gives; a normalize that splits a point breaks the
+    identity or lowers a valency, which the tally check against
+    expected_tally sees.  A failed incidence leaves pair_identity_ok false
+    instead of raising.
+    """
+    lines = build_configuration(n)
+    through = _crossings(lines)
     incident = all(dot(lines[i], p) == 0
                    for p, members in through.items() for i in members)
     points = tuple(sorted((p, len(members)) for p, members in through.items()))
@@ -230,7 +233,7 @@ def _b(m: int) -> int:
     return sequence(m).b
 
 
-def verify_propositions(max_n: int, census_of=None) -> VerificationReport:
+def verify_propositions(max_n: int, census_ok=None) -> VerificationReport:
     """Exact checks of the structural identities behind the census formulas.
 
     Conventions recorded here were fixed by exhaustive computation:
@@ -238,10 +241,9 @@ def verify_propositions(max_n: int, census_of=None) -> VerificationReport:
     point, and the (b(m), 0, b(m+1)) points arise as intersections of a
     level-m line with a level-0 line of a different pencil.
 
-    census_of maps a level to its census (default: census); a caller that
-    verifies several levels passes a memo so each level is censused once.
+    census_ok says whether the census of every level 0..max_n passed; with
+    None, each level is censused here, one at a time.
     """
-    census_of = census_of or census
     checks = []
 
     ok = all(
@@ -334,9 +336,10 @@ def verify_propositions(max_n: int, census_of=None) -> VerificationReport:
     )
     checks.append(PropositionCheck("sequence_recurrences", rec_ok))
 
-    ok = all(report.formula_ok and report.pair_identity_ok
-             for report in map(census_of, range(0, max_n + 1)))
-    checks.append(PropositionCheck("census_formulas", ok))
+    if census_ok is None:
+        census_ok = all(r.pair_identity_ok and r.formula_ok
+                        for r in map(census, range(0, max_n + 1)))
+    checks.append(PropositionCheck("census_formulas", census_ok))
 
     return VerificationReport(checks=tuple(checks))
 
@@ -352,26 +355,23 @@ def _chart(p: tuple):
     return (p[1] + 0.5 * p[2]) / s, (0.8660254037844386 * p[2]) / s
 
 
-def render_svg(n: int, width: int = 720, height: int = 720,
-               census_of=None) -> str:
-    """Exact-configuration picture in an affine chart; floats only for drawing.
-
-    census_of maps a level to its census (default: census); a caller that
-    already holds the census of level n passes its memo.
-    """
+def render_svg(n: int) -> str:
+    """Exact-configuration picture in an affine chart; floats only for drawing."""
+    width = height = 720
     lines = build_configuration(n)
-    report = (census_of or census)(n)
-    on_line = {u: [] for u in lines}
-    for p, _ in report.points:
+    through = _crossings(lines)
+    on_line = [[] for _ in lines]
+    dots = []
+    for p, members in sorted(through.items()):
         xy = _chart(p)
         if xy is None:
             continue
-        for u in lines:
-            if dot(u, p) == 0:
-                on_line[u].append(xy)
+        dots.append((xy, len(members)))
+        for i in members:
+            on_line[i].append(xy)
 
-    xs = [x for pts in on_line.values() for x, _ in pts]
-    ys = [y for pts in on_line.values() for _, y in pts]
+    xs = [x for pts in on_line for x, _ in pts]
+    ys = [y for pts in on_line for _, y in pts]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y) or 1.0
@@ -387,8 +387,7 @@ def render_svg(n: int, width: int = 720, height: int = 720,
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for idx, u in enumerate(lines):
-        pts = on_line[u]
+    for idx, pts in enumerate(on_line):
         if len(pts) < 2:
             continue
         pts = sorted(pts)
@@ -402,10 +401,7 @@ def render_svg(n: int, width: int = 720, height: int = 720,
             f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" '
             f'y2="{b[1]:.2f}" stroke="{color}" stroke-width="1.4"/>'
         )
-    for p, valency in report.points:
-        xy = _chart(p)
-        if xy is None:
-            continue
+    for xy, valency in dots:
         cx, cy = to_px(*xy)
         parts.append(
             f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{1.5 + 0.7 * valency:.2f}" '

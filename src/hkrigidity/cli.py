@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import lru_cache
 
 from . import cb_arrangements as cb
 from . import replay as replay_mod
@@ -31,8 +30,8 @@ from .registry import RegistryFormatError, default_registry, load_path
 # Largest exponent rigidity accepts.  Time grows as n^5, for the survivor
 # filter in orbit mode and for the problem keys of every character with
 # --full; both sweep fixed-size blocks of characters, so the peak RSS stays
-# below 80 MB.  On a 2-vCPU machine n = 40 takes about 27 s in orbit mode
-# and 82 s with --full, so a larger n is refused before any work starts.
+# below 80 MB.  On a 2-vCPU machine n = 40 takes about 18 s in orbit mode
+# and 52 s with --full, so a larger n is refused before any work starts.
 MAX_EXPONENT = 40
 
 # Largest exponent checks accepts.  It keys all n^5 characters once, in numpy
@@ -43,10 +42,10 @@ MAX_EXPONENT = 40
 MAX_CHECKS_EXPONENT = 8
 
 # Largest level cb accepts.  The census of a level visits each pair of its
-# lines once, and the proposition check censuses every level up to n, so the
-# time grows as n^3: on a 2-vCPU machine level 32 takes about 0.14 s and
-# level 64 about 1.2 s in process.  A range costs about as much as its top
-# level, since each level's census is computed once per command.
+# lines once, and the proposition check needs every level up to n, so the
+# time grows as n^3: on a 2-vCPU machine level 32 takes about 0.15 s and
+# level 64 about 1.3 s (42 MB peak RSS) in process.  One walk censuses each
+# level once and holds one at a time, so a range costs about its top level.
 MAX_CB_LEVEL = 64
 
 # Largest exponent invariants accepts.  Each exponent of a range is computed
@@ -292,28 +291,33 @@ def _cmd_cb(parser, args) -> int:
     ns = _resolve_ns(parser, args, MAX_CB_LEVEL, minimum=0)
     if args.emit_svg is not None and len(ns) != 1:
         parser.error("--emit-svg needs a single --n")
-    # Level n's propositions re-read the census of every level up to n, so
-    # one memo per command keeps a range as cheap as its top level.
-    census_of = lru_cache(maxsize=None)(cb.census)
-    payloads, texts = [], []
-    code = 0
-    for n in ns:
-        t0 = time.perf_counter()
-        report = census_of(n)
-        verification = cb.verify_propositions(max(n, 1), census_of)
-        print(f"cb n={n}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-        payloads.append(reports.cb_payload(report, verification))
-        texts.append(reports.cb_text(report, verification))
-        if not (report.pair_identity_ok and report.formula_ok and verification.ok):
-            code = 1
+    # One ascending walk censuses each level once; a printed level waits for
+    # its propositions, which need every level up to max(n, 1) to pass.
+    payloads, texts, waiting = [], [], []
+    passed, t0 = True, time.perf_counter()
+    for m in range(max(ns[-1], 1) + 1):
+        report = cb.census(m)
+        passed = passed and report.pair_identity_ok and report.formula_ok
+        if m in ns:
+            waiting.append(report)
+        if m == 0 or not waiting:
+            continue
+        verification = cb.verify_propositions(m, census_ok=passed)
+        for report in waiting:
+            print(f"cb n={report.n}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+            t0 = time.perf_counter()
+            payloads.append(reports.cb_payload(report, verification))
+            texts.append(reports.cb_text(report, verification))
+        waiting.clear()
     if args.emit_svg is not None:
         try:
             with open(args.emit_svg, "w", encoding="utf-8") as handle:
-                handle.write(cb.render_svg(ns[0], census_of=census_of))
+                handle.write(cb.render_svg(ns[0]))
         except OSError as exc:
             parser.error(f"--emit-svg {args.emit_svg}: {exc}")
     _write_body(args, payloads, texts)
-    return code
+    # A level's propositions include the census of every level up to it.
+    return 0 if all(p["propositions_ok"] for p in payloads) else 1
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,6 @@
 """Tests for the iterated line-configuration census."""
 
+import hashlib
 from math import gcd
 
 import pytest
@@ -224,3 +225,9 @@ class TestRendering:
 
     def test_svg_is_deterministic(self):
         assert render_svg(3) == render_svg(3)
+
+    def test_svg_bytes_pinned(self):
+        # sha256 of the pictures of levels 0..20, one after another
+        pictures = "".join(render_svg(n) for n in range(21))
+        assert hashlib.sha256(pictures.encode("utf-8")).hexdigest() == (
+            "ec0a8d683bc6bf114648da728419b67e416f3b8c621a986ea9cce440772f53d9")

@@ -6,11 +6,13 @@ deterministic (timings are stderr-only).
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -407,6 +409,44 @@ class TestCb:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "9f8d4348c2fe78f26614526eed2e5bc1be37614e5f61b94cab3f2dcfa1103584")
+
+    @pytest.mark.parametrize("argv,digest", [
+        # a range walks each level once and prints every level it walks
+        (["cb", "--n-range", "0..12", "--json"],
+         "559d8dcb3b7bc676e6d66e269d1351070d9eb03ecc61f58afb720dbb4cb152e6"),
+        # level 0's propositions are checked through level 1
+        (["cb", "--n", "0", "--json"],
+         "32a048d1741f2df146593e22a1afd0f59209bbbb36d3bc0019b9348c04eef790"),
+    ])
+    def test_cb_walk_bytes_pinned(self, capsys, argv, digest):
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [["cb", "--n", "0"], ["cb", "--n-range", "2..3"]])
+    def test_failed_census_exits_one(self, capsys, monkeypatch, argv):
+        # without its sign flip, normalize splits crossing points into two keys
+        monkeypatch.setattr(cb_arrangements, "normalize",
+                            lambda v: tuple(x // math.gcd(*v) for x in v))
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert "propositions FAILED" in out
+
+    def test_walk_holds_one_census_at_a_time(self, capsys, monkeypatch):
+        refs, alive = [], []
+        census = cb_arrangements.census
+
+        def tracking(n):
+            alive.append(sum(ref() is not None for ref in refs))
+            report = census(n)
+            refs.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(cb_arrangements, "census", tracking)
+        code, _ = run(capsys, ["cb", "--n", "12", "--json"])
+        assert code == 0
+        assert len(alive) == 13
+        assert max(alive) <= 1
 
     def test_census_text(self, capsys):
         code, out = run(capsys, ["cb", "--n", "2"])
