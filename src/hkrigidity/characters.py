@@ -25,6 +25,7 @@ import numpy as np
 from .picard import (
     CANONICAL,
     LINE_CLASSES,
+    LINE_IMAGES,
     PAIRS,
     PERMS,
     ZERO,
@@ -248,18 +249,34 @@ def s5_act(t, psi):
 # Rows of residue codes swept at once by the array paths below.
 CHUNK = 1 << 15
 
+# Candidate codes per block of survivor_blocks.  About a fifth of the codes
+# of kept prefixes outlive FILTER_PREFIX at n = 40, against 1.2% of all
+# codes, so the 112-column image matrix of a block is far larger than for a
+# block of all codes; at this size rigidity --n 40 peaks lower than a
+# CHUNK-sized sweep of all codes did.
+SURVIVOR_CHUNK = 1 << 13
+
+# picard.LINE_IMAGES as an array, and the PAIRS indices of the basis lines.
+_LINE_IMAGES = np.array(LINE_IMAGES, dtype=np.int64)
+_BASIS_INDICES = np.array([PAIRS.index(p) for p in BASIS_PAIRS])
+
 # The survivor filter applies these permutations first: greedily chosen at
-# n = 12, each discards the most of the codes the earlier ones kept, and
-# together they leave about 1.2% of all codes.  The rest follow in PERMS
-# order.  Any order leaves the same survivors.
+# n = 12 over all codes, each discards the most of the codes the earlier
+# ones kept, and together they leave about 1.2% of all codes.  The rest
+# follow in PERMS order.  Any order leaves the same survivors.
 FILTER_PREFIX = ((2, 3, 5, 4, 1), (4, 5, 2, 1, 3), (1, 2, 5, 4, 3),
                  (1, 3, 2, 4, 5), (4, 3, 5, 1, 2), (4, 2, 3, 1, 5),
                  (3, 2, 1, 5, 4), (2, 1, 3, 4, 5))
 
 
+def _powers(n):
+    """The place values n^4 .. n^0 of the five digits of a code."""
+    return n ** np.arange(4, -1, -1, dtype=np.int64)
+
+
 def _digits(codes, n):
     """Residue vectors of codes, the vectors read as base-n numbers."""
-    digits = codes[:, None] // n ** np.arange(4, -1, -1, dtype=np.int64)
+    digits = codes[:, None] // _powers(n)
     digits %= n
     return digits
 
@@ -281,29 +298,76 @@ def code_blocks(n, chunk=CHUNK):
         yield codes, _digits(codes, n), np.ones(len(codes), dtype=np.int64)
 
 
-def survivor_blocks(n, chunk=CHUNK):
-    """One lexicographically least representative per symmetry orbit, as
-    (codes, digits, orbit sizes) arrays, one block per chunk of codes.
+def _image_weights(n, columns):
+    """Column j weights the ten loop values into the code of the image
+    under PERMS[columns[j]], whose k-th digit is the loop value on the image
+    of BASIS_PAIRS[k]."""
+    images = _LINE_IMAGES[np.asarray(columns)][:, _BASIS_INDICES]
+    weights = np.zeros((len(PAIRS), len(columns)), dtype=np.int64)
+    weights[images, np.arange(len(columns))[:, None]] = _powers(n)
+    return weights
 
-    The image of a character under a permutation has five of the
-    character's ten loop values as its digits, so each image code is the
-    loop values weighted by powers of n.  Each chunk of codes meets the
-    permutations in turn, and after each one only the codes whose image is
-    not smaller survive; the FILTER_PREFIX ones run one at a time and the
-    other 112 at once on the few survivors.  What remains is each orbit's
-    least element, and its orbit size is 120 over the number of
-    permutations fixing it.  Orbit sizes sum to n^5.
+
+def kept_prefixes(n):
+    """The 3-digit code prefixes, ascending, that no permutation fixing
+    index 4 lowers; the codes of all other prefixes are no orbit's least.
+
+    A permutation t with t(4) = 4 maps the lines (1,4), (2,4), (3,4) of
+    the first three digits onto lines among (1,4), (2,4), (3,4), (4,5),
+    whose loop values are a1, a2, a3 and -(a1+a2+a3) mod n.  So the first
+    three digits of an image code depend on the first three digits of the
+    code alone, and when such a t lowers a prefix it lowers each of the
+    prefix's n^2 codes.
+
+    The loops here are read off the codes prefix * n^2, whose last two
+    digits are 0; those four loops are exact, and the image prefix weights
+    (the code weights over n^2) read no other.
+    """
+    fixing = [j for j, t in enumerate(PERMS) if t[3] == 4]
+    prefixes = np.arange(n ** 3, dtype=np.int64)
+    loops = _loops(_digits(prefixes * n ** 2, n), n)
+    images = loops @ (_image_weights(n, fixing) // n ** 2)
+    return prefixes[(images >= prefixes[:, None]).all(axis=1)]
+
+
+def _candidate_blocks(n, chunk):
+    """The codes of kept_prefixes(n), ascending, in blocks of at most chunk
+    codes, built a few prefixes at a time."""
+    span = n ** 2
+    prefixes = kept_prefixes(n)
+    step = max(1, chunk // span)
+    for start in range(0, len(prefixes), step):
+        codes = (prefixes[start:start + step, None] * span
+                 + np.arange(span, dtype=np.int64)).ravel()
+        for piece in range(0, len(codes), chunk):
+            yield codes[piece:piece + chunk]
+
+
+def survivor_blocks(n, chunk=SURVIVOR_CHUNK):
+    """One lexicographically least representative per symmetry orbit, as
+    (codes, digits, orbit sizes) arrays, one block per chunk of candidate
+    codes.
+
+    The candidates are the codes of kept_prefixes(n), in ascending order:
+    a permutation fixing index 4 maps the first three digits onto digits
+    read off the first three alone, so where it lowers a prefix, no code
+    of that prefix is its orbit's least.  The image of a character under a
+    permutation has five of the character's ten loop values as its digits,
+    so each image code is the loop values weighted by powers of n.  Each
+    block of candidates meets the permutations in turn, and after each one
+    only the codes whose image is not smaller survive; the FILTER_PREFIX
+    ones run one at a time and the other 112 at once on their survivors.
+    What remains is each orbit's least element, and its orbit size is 120
+    over the number of permutations fixing it.  Orbit sizes sum to n^5.
     """
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    order = FILTER_PREFIX + tuple(t for t in PERMS if t not in FILTER_PREFIX)
-    weights = np.zeros((len(PAIRS), len(order)), dtype=np.int64)
-    for j, t in enumerate(order):
-        for k, bp in enumerate(BASIS_PAIRS):
-            weights[PAIRS.index(map_pair(t, bp)), j] = n ** (4 - k)
+    order = ([PERMS.index(t) for t in FILTER_PREFIX]
+             + [j for j, t in enumerate(PERMS) if t not in FILTER_PREFIX])
+    weights = _image_weights(n, order)
     head = len(FILTER_PREFIX)
-    for codes, digits, _ in code_blocks(n, chunk):
-        loops = _loops(digits, n)
+    for codes in _candidate_blocks(n, chunk):
+        loops = _loops(_digits(codes, n), n)
         fixed = np.zeros(len(codes), dtype=np.int64)
         for w in weights[:, :head].T:
             image = loops @ w
@@ -317,7 +381,7 @@ def survivor_blocks(n, chunk=CHUNK):
         yield codes, _digits(codes, n), len(order) // fixed
 
 
-def orbit_representatives(n, chunk=CHUNK):
+def orbit_representatives(n, chunk=SURVIVOR_CHUNK):
     """[(Character, orbit size)] of survivor_blocks, sorted by
     representative."""
     return [(Character(n, tuple(a)), size)

@@ -185,6 +185,14 @@ def map_pair(t, p):
     return make_pair(t[p[0] - 1], t[p[1] - 1])
 
 
+# LINE_IMAGES[j][k] is the PAIRS index of the image of the line PAIRS[k]
+# under the permutation PERMS[j].  PAIRS is sorted, so index tuples order
+# as the pair tuples they stand for.
+_PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
+LINE_IMAGES: tuple = tuple(tuple(_PAIR_INDEX[map_pair(t, p)] for p in PAIRS)
+                           for t in PERMS)
+
+
 def _matrix_times(m, v):
     """Image of the coordinate tuple v under the 5 x 5 matrix m."""
     return tuple(r[0] * v[0] + r[1] * v[1] + r[2] * v[2] + r[3] * v[3] + r[4] * v[4]

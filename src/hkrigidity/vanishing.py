@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 from .picard import (
     LINE_CLASSES,
+    LINE_IMAGES,
     PAIRS,
     PERMS,
     DivisorClass,
@@ -370,22 +371,22 @@ def canonical_problem(logset, twist):
     """Lexicographically least image of (logset, twist) over all 120 index
     permutations; returns (key, permutation achieving it first).
 
-    Pole images are mapped as picard.map_pair does, on 0-based positions;
-    the twist image is the lattice matrix of picard.s5_transform, computed
-    only for permutations whose pole images do not already lose."""
-    poles = [(i - 1, j - 1) for i, j in logset]
+    Pole images are compared as sorted lists of PAIRS indices read off
+    picard.LINE_IMAGES, which order as the sorted pair tuples do; the twist
+    image is the lattice matrix of picard.s5_transform, computed only for
+    permutations whose pole images do not already lose."""
+    poles = [_PAIR_BIT[p] for p in logset]
     v = twist.as_tuple()
     best = None
     best_t = None
-    for t in PERMS:
-        ls = tuple(sorted([(t[i], t[j]) if t[i] < t[j] else (t[j], t[i])
-                           for i, j in poles]))
+    for t, images in zip(PERMS, LINE_IMAGES):
+        ls = sorted([images[k] for k in poles])
         if best is not None and ls > best[0]:
             continue
         key = (ls, _matrix_times(_matrix_from_line_images(t), v))
         if best is None or key < best:
             best, best_t = key, t
-    return best, best_t
+    return (tuple(PAIRS[k] for k in best[0]), best[1]), best_t
 
 
 # ---------------------------------------------------------------------------

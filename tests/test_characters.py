@@ -12,8 +12,10 @@ from hkrigidity.characters import (
     LOOP_FORMS,
     Character,
     InternalInconsistencyError,
+    char_matrix,
     classify_logset,
     geometry_of,
+    kept_prefixes,
     orbit_count,
     orbit_representatives,
     rank_exception_classify,
@@ -297,7 +299,39 @@ def test_filter_prefix_holds_distinct_permutations():
     assert set(FILTER_PREFIX) <= set(PERMS)
 
 
+def orbit_least_codes(n):
+    # independent oracle: the least image code over PERMS of every
+    # character, through the pullback matrices of s5_act
+    digits = np.array(list(product(range(n), repeat=5)), dtype=np.int64)
+    powers = n ** np.arange(4, -1, -1)
+    least = np.full(len(digits), n ** 5)
+    for t in PERMS:
+        images = digits @ np.array(char_matrix(t)).T % n
+        least = np.minimum(least, images @ powers)
+    return np.unique(least)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_kept_prefixes_hold_every_orbit_least_code(n):
+    least = orbit_least_codes(n)
+    assert len(least) == orbit_count(n)
+    assert set((least // n ** 2).tolist()) <= set(kept_prefixes(n).tolist())
+
+
+def test_prefix_pruning_drops_some_prefix_at_every_exponent_from_3():
+    for n in range(3, 41):
+        kept = kept_prefixes(n)
+        assert len(kept) < n ** 3
+        assert kept.tolist() == sorted(set(kept.tolist()))
+
+
+@pytest.mark.parametrize("n,count", [(10, 73), (20, 446), (30, 1368), (40, 3091)])
+def test_kept_prefix_counts(n, count):
+    assert len(kept_prefixes(n)) == count
+
+
 def test_orbit_representatives_independent_of_chunk():
+    # chunk=7 is below n^2 = 25, so one prefix's codes span several blocks
     reps = orbit_representatives(5)
     assert orbit_representatives(5, chunk=7) == reps
     assert orbit_representatives(5, chunk=1000) == reps

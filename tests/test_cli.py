@@ -81,6 +81,20 @@ class TestRigidity:
         _, second = run(capsys, ["rigidity", "--n", "4", "--json"])
         assert first == second
 
+    @pytest.mark.parametrize("n,digest", [
+        # sha256 of the stdout of rigidity --n N --json
+        (11, "de0ddda03f0c90c006ee5eb6926de1fd5b299d00820d385a37baad6731486956"),
+        (12, "78fda566dab9b1b90aa692e028fba2b7d9870afda76b3303d5b6f63beb41083a"),
+        (13, "ad2c6dd2feef3680fdbf2fc2cf6d70ffac4fca22d0e3325afb9972ed3fee984c"),
+        (14, "fb700403a6864750bcb442f27a8ec334a472bfc3bd872cf4a6ce9ea77b9815c0"),
+        (20, "913c7e0ebdc5b62e07627b95588fb5304bb1455191bc0cdfb425d42deba45960"),
+        (30, "a904fb093a3415f7deb41eb7c3a52e92e2b9d09aa57df015c4668be87285f8bc"),
+    ])
+    def test_rigidity_json_bytes_pinned(self, capsys, n, digest):
+        code, out = run(capsys, ["rigidity", "--n", str(n), "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_csv_tally(self, capsys):
         code, out = run(capsys, ["rigidity", "--n", "4", "--csv"])
         assert code == 0

@@ -429,7 +429,7 @@ def oracle_drop_reduce(prob):
     return prob.logset - set(removed), removed
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_integer_engine_matches_definitions(n):
     for prob in problem_histogram(n, orbits=False):
         reduced, removed = drop_reduce(prob)
