@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, gcd
 from typing import Optional
 
@@ -174,43 +173,155 @@ def expected_tally(n: int) -> dict:
     return {v: c for v, c in tally.items() if c}
 
 
-def _crossings(lines: tuple) -> dict:
-    """Map each crossing of the lines to the set of indices of its lines."""
-    through = {}
-    for (i, u), (j, v) in combinations(enumerate(lines), 2):
-        through.setdefault(normalize(cross(u, v)), set()).update((i, j))
-    return through
+class _Arrangement:
+    """The crossings of a list of lines that grows one line at a time.
+
+    Two distinct lines meet in exactly one point, so an added line is
+    crossed with each earlier line once, (lines[i], new line) for i in
+    order, and nothing before it is crossed again.  Four things are kept
+    current as it goes: through maps each crossing to the indices of its
+    lines, tally counts the crossings of each valency, pairs is the sum of
+    C(v, 2) over the valencies (a line joining a point of valency v adds v),
+    and incident stays true while every line recorded through a point is
+    incident with it, checked once when the line joins the point.  The pair
+    identity pairs = C(L, 2) holds exactly when every point's pairs are all
+    the pairs of its lines, as a consistent normalize gives; a normalize
+    that splits a point breaks it or lowers a valency, which the tally
+    check against expected_tally sees.
+    """
+
+    def __init__(self, lines):
+        self.lines = []
+        self.through = {}
+        self.tally = Counter()
+        self.pairs = 0
+        self.incident = True
+        for u in lines:
+            self.add(u)
+
+    def add(self, u: tuple) -> None:
+        # normalize, cross and dot are read here, not bound at import, so a
+        # test can swap them.
+        norm, meet, on = normalize, cross, dot
+        lines, through, tally = self.lines, self.through, self.tally
+        j = len(lines)
+        lines.append(u)
+        for i in range(j):
+            p = norm(meet(lines[i], u))
+            members = through.get(p)
+            if members is None:
+                members = through[p] = set()
+            for k in (i, j):
+                if k in members:
+                    continue
+                v = len(members)
+                members.add(k)
+                self.pairs += v
+                if v:
+                    tally[v] -= 1
+                tally[v + 1] += 1
+                if on(lines[k], p):
+                    self.incident = False
+
+    @property
+    def pair_identity_ok(self) -> bool:
+        return self.incident and self.pairs == comb(len(self.lines), 2)
+
+    def _tally(self) -> dict:
+        return {v: c for v, c in self.tally.items() if c}
+
+    def ok(self, m: int) -> bool:
+        """Whether these lines, read as level m, pass the census."""
+        return self.pair_identity_ok and self._tally() == expected_tally(m)
+
+    def report(self, m: int) -> CensusReport:
+        """The full census of these lines read as level m, points sorted."""
+        tally = self._tally()
+        return CensusReport(
+            n=m,
+            line_count=len(self.lines),
+            points=tuple(sorted((p, len(members))
+                                for p, members in self.through.items())),
+            tally=tally,
+            pair_identity_ok=self.pair_identity_ok,
+            formula_ok=tally == expected_tally(m),
+        )
+
+    def svg(self) -> str:
+        """Picture of the lines and crossings in an affine chart; floats only
+        for drawing."""
+        width = height = 720
+        on_line = [[] for _ in self.lines]
+        dots = []
+        for p, members in sorted(self.through.items()):
+            xy = _chart(p)
+            if xy is None:
+                continue
+            dots.append((xy, len(members)))
+            for i in members:
+                on_line[i].append(xy)
+
+        xs = [x for pts in on_line for x, _ in pts]
+        ys = [y for pts in on_line for _, y in pts]
+        lo_x, hi_x = min(xs), max(xs)
+        lo_y, hi_y = min(ys), max(ys)
+        span = max(hi_x - lo_x, hi_y - lo_y) or 1.0
+        pad = 0.1 * span
+
+        def to_px(x, y):
+            px = (x - lo_x + pad) / (span + 2 * pad) * width
+            py = height - (y - lo_y + pad) / (span + 2 * pad) * height
+            return px, py
+
+        parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}">',
+            f'<rect width="{width}" height="{height}" fill="white"/>',
+        ]
+        for idx, pts in enumerate(on_line):
+            if len(pts) < 2:
+                continue
+            pts = sorted(pts)
+            (x0, y0), (x1, y1) = pts[0], pts[-1]
+            dx, dy = x1 - x0, y1 - y0
+            x0, y0 = x0 - 0.25 * dx, y0 - 0.25 * dy
+            x1, y1 = x1 + 0.25 * dx, y1 + 0.25 * dy
+            color = _AXIS_COLOR if idx < 3 else _LEVEL_COLORS[((idx - 3) // 3) % 6]
+            a, b = to_px(x0, y0), to_px(x1, y1)
+            parts.append(
+                f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" '
+                f'y2="{b[1]:.2f}" stroke="{color}" stroke-width="1.4"/>'
+            )
+        for xy, valency in dots:
+            cx, cy = to_px(*xy)
+            parts.append(
+                f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{1.5 + 0.7 * valency:.2f}" '
+                f'fill="#00000088"/>'
+            )
+        parts.append("</svg>")
+        return "\n".join(parts) + "\n"
+
+
+def walk(top: int):
+    """Yield (m, arrangement) for m = 0..top, the arrangement holding the
+    lines of level m.
+
+    Level m's lines are level m-1's plus three, so one arrangement grows
+    through every level and each pair of the level-top lines is crossed
+    once.  The arrangement changes when the walk advances, so read it
+    before the next level.
+    """
+    lines = build_configuration(top)
+    arrangement = _Arrangement(lines[:3])
+    for m in range(top + 1):
+        for u in lines[3 * m + 3:3 * m + 6]:
+            arrangement.add(u)
+        yield m, arrangement
 
 
 def census(n: int) -> CensusReport:
-    """Census of the intersection points of level n and their valencies.
-
-    Two distinct lines meet in exactly one point, so one pass over the
-    C(L, 2) pairs (_crossings) records the lines through each point, and its
-    valency is their number.  Each recorded line is checked against its
-    point by incidence, and the pair identity sum C(v, 2) = C(L, 2) holds
-    exactly when every point's pairs are all the pairs of its lines, as a
-    consistent normalize gives; a normalize that splits a point breaks the
-    identity or lowers a valency, which the tally check against
-    expected_tally sees.  A failed incidence leaves pair_identity_ok false
-    instead of raising.
-    """
-    lines = build_configuration(n)
-    through = _crossings(lines)
-    incident = all(dot(lines[i], p) == 0
-                   for p, members in through.items() for i in members)
-    points = tuple(sorted((p, len(members)) for p, members in through.items()))
-    tally = dict(Counter(v for _, v in points))
-    pair_ok = incident and (
-        sum(comb(v, 2) for _, v in points) == comb(len(lines), 2))
-    return CensusReport(
-        n=n,
-        line_count=len(lines),
-        points=points,
-        tally=tally,
-        pair_identity_ok=pair_ok,
-        formula_ok=tally == expected_tally(n),
-    )
+    """Census of the intersection points of level n and their valencies."""
+    return _Arrangement(build_configuration(n)).report(n)
 
 
 @dataclass(frozen=True)
@@ -242,7 +353,7 @@ def verify_propositions(max_n: int, census_ok=None) -> VerificationReport:
     level-m line with a level-0 line of a different pencil.
 
     census_ok says whether the census of every level 0..max_n passed; with
-    None, each level is censused here, one at a time.
+    None, one walk reads each level's census flags here.
     """
     checks = []
 
@@ -337,8 +448,7 @@ def verify_propositions(max_n: int, census_ok=None) -> VerificationReport:
     checks.append(PropositionCheck("sequence_recurrences", rec_ok))
 
     if census_ok is None:
-        census_ok = all(r.pair_identity_ok and r.formula_ok
-                        for r in map(census, range(0, max_n + 1)))
+        census_ok = all(arrangement.ok(m) for m, arrangement in walk(max_n))
     checks.append(PropositionCheck("census_formulas", census_ok))
 
     return VerificationReport(checks=tuple(checks))
@@ -356,56 +466,5 @@ def _chart(p: tuple):
 
 
 def render_svg(n: int) -> str:
-    """Exact-configuration picture in an affine chart; floats only for drawing."""
-    width = height = 720
-    lines = build_configuration(n)
-    through = _crossings(lines)
-    on_line = [[] for _ in lines]
-    dots = []
-    for p, members in sorted(through.items()):
-        xy = _chart(p)
-        if xy is None:
-            continue
-        dots.append((xy, len(members)))
-        for i in members:
-            on_line[i].append(xy)
-
-    xs = [x for pts in on_line for x, _ in pts]
-    ys = [y for pts in on_line for _, y in pts]
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
-    span = max(hi_x - lo_x, hi_y - lo_y) or 1.0
-    pad = 0.1 * span
-
-    def to_px(x, y):
-        px = (x - lo_x + pad) / (span + 2 * pad) * width
-        py = height - (y - lo_y + pad) / (span + 2 * pad) * height
-        return px, py
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    for idx, pts in enumerate(on_line):
-        if len(pts) < 2:
-            continue
-        pts = sorted(pts)
-        (x0, y0), (x1, y1) = pts[0], pts[-1]
-        dx, dy = x1 - x0, y1 - y0
-        x0, y0 = x0 - 0.25 * dx, y0 - 0.25 * dy
-        x1, y1 = x1 + 0.25 * dx, y1 + 0.25 * dy
-        color = _AXIS_COLOR if idx < 3 else _LEVEL_COLORS[((idx - 3) // 3) % 6]
-        a, b = to_px(x0, y0), to_px(x1, y1)
-        parts.append(
-            f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" '
-            f'y2="{b[1]:.2f}" stroke="{color}" stroke-width="1.4"/>'
-        )
-    for xy, valency in dots:
-        cx, cy = to_px(*xy)
-        parts.append(
-            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{1.5 + 0.7 * valency:.2f}" '
-            f'fill="#00000088"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    """Exact-configuration picture of level n in an affine chart."""
+    return _Arrangement(build_configuration(n)).svg()

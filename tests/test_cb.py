@@ -1,7 +1,9 @@
 """Tests for the iterated line-configuration census."""
 
 import hashlib
-from math import gcd
+from collections import Counter
+from itertools import combinations
+from math import comb, gcd
 
 import pytest
 
@@ -21,6 +23,7 @@ from hkrigidity.cb_arrangements import (
     seq_a,
     sequence,
     verify_propositions,
+    walk,
 )
 
 
@@ -152,6 +155,22 @@ def scanned_points(n):
                         for p in seen))
 
 
+def recounted_ok(n):
+    """Oracle: level n's census flags from one pass over all its pairs,
+    through the module's normalize and cross as they stand."""
+    lines = build_configuration(n)
+    through = {}
+    for (i, u), (j, v) in combinations(enumerate(lines), 2):
+        key = cb_arrangements.normalize(cb_arrangements.cross(u, v))
+        through.setdefault(key, set()).update((i, j))
+    incident = all(dot(lines[i], p) == 0
+                   for p, members in through.items() for i in members)
+    valencies = [len(members) for members in through.values()]
+    pair_ok = incident and (
+        sum(comb(v, 2) for v in valencies) == comb(len(lines), 2))
+    return pair_ok and dict(Counter(valencies)) == expected_tally(n)
+
+
 def without_sign_flip(v):
     g = 0
     for x in v:
@@ -198,6 +217,58 @@ class TestCensusFaults:
         assert report.formula_ok
         assert not report.pair_identity_ok
         assert not cb_arrangements.verify_propositions(3).ok
+
+
+class TestWalk:
+    def test_flags_match_a_recount(self):
+        assert [arrangement.ok(m) for m, arrangement in walk(40)] == [
+            recounted_ok(m) for m in range(41)]
+
+    def test_reports_match_census(self):
+        for m, arrangement in walk(20):
+            report = arrangement.report(m)
+            assert report == census(m)
+            assert report.points == scanned_points(m)
+
+    @pytest.mark.parametrize("fault", [without_sign_flip, without_gcd_division])
+    def test_inconsistent_normalize_fails_every_level_from_the_first(
+            self, monkeypatch, fault):
+        monkeypatch.setattr(cb_arrangements, "normalize", fault)
+        expected = [recounted_ok(m) for m in range(13)]
+        first = expected.index(False)
+        assert first <= 1
+        flags = [arrangement.ok(m) for m, arrangement in walk(12)]
+        assert flags == expected
+        assert flags == [m < first for m in range(13)]
+
+    def test_wrong_crossing_fails_its_level_and_later_ones(self, monkeypatch):
+        # move one pair whose second line joins at level k off its
+        # valency-2 point to a point on neither line and on no other pair:
+        # the incidence check sees it once, when the pair is added, and the
+        # level fails from then on although its tally stays right
+        k, top = 3, 6
+        lines = build_configuration(top)
+        valency = dict(census(k).points)
+        pair = next((lines[i], lines[j]) for j in range(3 * k + 3, 3 * k + 6)
+                    for i in range(j)
+                    if valency[normalize(cross(lines[i], lines[j]))] == 2)
+        wrong = (1, 2, 4)
+        assert all(wrong not in dict(census(m).points) for m in range(top + 1))
+        assert dot(pair[0], wrong) and dot(pair[1], wrong)
+        real = cb_arrangements.cross
+
+        def skewed(u, v):
+            return wrong if (u, v) == pair else real(u, v)
+
+        monkeypatch.setattr(cb_arrangements, "cross", skewed)
+        flags = []
+        for m, arrangement in walk(top):
+            flags.append(arrangement.ok(m))
+            if m == k:
+                report = arrangement.report(m)
+                assert report.formula_ok and not report.pair_identity_ok
+        assert flags == [m < k for m in range(top + 1)]
+        assert not cb_arrangements.verify_propositions(k).ok
 
 
 class TestPropositions:

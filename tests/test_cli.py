@@ -4,7 +4,9 @@ All invocations go through main(argv) in-process; stdout must be
 deterministic (timings are stderr-only).
 """
 
+import collections
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -244,6 +246,7 @@ class TestUsageErrors:
             monkeypatch.setattr(characters, name, refuse)
             monkeypatch.setattr(invariants, name, refuse)
         monkeypatch.setattr(cb_arrangements, "census", refuse)
+        monkeypatch.setattr(cb_arrangements, "walk", refuse)
         monkeypatch.setattr(cb_arrangements, "verify_propositions", refuse)
         monkeypatch.setattr(invariants, "closed_form", refuse)
         monkeypatch.setattr(cli, "closed_form", refuse)
@@ -447,20 +450,27 @@ class TestCb:
         assert "propositions FAILED" in out
 
     def test_walk_holds_one_census_at_a_time(self, capsys, monkeypatch):
-        refs, alive = [], []
-        census = cb_arrangements.census
+        # full reports are built for printed levels only, and none is alive
+        # when the next is built; level 0's waits for level 1's propositions
+        refs, alive, built = [], [], []
+        report = cb_arrangements._Arrangement.report
 
-        def tracking(n):
+        def tracking(self, m):
             alive.append(sum(ref() is not None for ref in refs))
-            report = census(n)
-            refs.append(weakref.ref(report))
-            return report
+            built.append(m)
+            full = report(self, m)
+            refs.append(weakref.ref(full))
+            return full
 
-        monkeypatch.setattr(cb_arrangements, "census", tracking)
-        code, _ = run(capsys, ["cb", "--n", "12", "--json"])
-        assert code == 0
-        assert len(alive) == 13
-        assert max(alive) <= 1
+        monkeypatch.setattr(cb_arrangements._Arrangement, "report", tracking)
+        for argv, printed in [(["cb", "--n", "12", "--json"], [12]),
+                              (["cb", "--n-range", "0..6", "--json"], list(range(7))),
+                              (["cb", "--n", "0"], [0])]:
+            built.clear()
+            code, _ = run(capsys, argv)
+            assert code == 0
+            assert built == printed
+        assert max(alive) == 0
 
     def test_census_text(self, capsys):
         code, out = run(capsys, ["cb", "--n", "2"])
@@ -489,36 +499,39 @@ class TestCb:
         assert err.value.code == 3
         assert "--emit-svg" in capsys.readouterr().err
 
+    @staticmethod
+    def count_crossings(monkeypatch):
+        """Count the arrangement's cross calls by pair of lines; the
+        propositions call cross too, and are not counted."""
+        crossed = collections.Counter()
+        cross, add = cb_arrangements.cross, cb_arrangements._Arrangement.add.__code__
+
+        def counting(u, v):
+            if sys._getframe(1).f_code is add:
+                crossed[u, v] += 1
+            return cross(u, v)
+
+        monkeypatch.setattr(cb_arrangements, "cross", counting)
+        return crossed
+
     def test_range_computes_each_census_once(self, capsys, monkeypatch):
-        calls = []
-        census = cb_arrangements.census
-
-        def counting(n):
-            calls.append(n)
-            return census(n)
-
         _, expected = run(capsys, ["cb", "--n-range", "0..6", "--json"])
-        monkeypatch.setattr(cb_arrangements, "census", counting)
+        crossed = self.count_crossings(monkeypatch)
         code, out = run(capsys, ["cb", "--n-range", "0..6", "--json"])
         assert code == 0
         assert out == expected
-        assert sorted(calls) == list(range(7))
+        lines = cb_arrangements.build_configuration(6)
+        assert crossed == collections.Counter(itertools.combinations(lines, 2))
 
     def test_svg_reuses_the_census(self, capsys, monkeypatch, tmp_path):
-        calls = []
-        census = cb_arrangements.census
-
-        def counting(n):
-            calls.append(n)
-            return census(n)
-
         expected = cb_arrangements.render_svg(8)
-        monkeypatch.setattr(cb_arrangements, "census", counting)
+        crossed = self.count_crossings(monkeypatch)
         target = tmp_path / "level8.svg"
         code, _ = run(capsys, ["cb", "--n", "8", "--json",
                                "--emit-svg", str(target)])
         assert code == 0
-        assert calls.count(8) == 1
+        lines = cb_arrangements.build_configuration(8)
+        assert crossed == collections.Counter(itertools.combinations(lines, 2))
         assert target.read_text(encoding="utf-8") == expected
 
     def test_svg_needs_single_exponent(self, capsys, tmp_path):
