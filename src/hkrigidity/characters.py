@@ -26,6 +26,7 @@ from .picard import (
     CANONICAL,
     LINE_CLASSES,
     LINE_IMAGES,
+    PAIR_INDEX,
     PAIRS,
     PERMS,
     ZERO,
@@ -258,7 +259,7 @@ SURVIVOR_CHUNK = 1 << 13
 
 # picard.LINE_IMAGES as an array, and the PAIRS indices of the basis lines.
 _LINE_IMAGES = np.array(LINE_IMAGES, dtype=np.int64)
-_BASIS_INDICES = np.array([PAIRS.index(p) for p in BASIS_PAIRS])
+_BASIS_INDICES = np.array([PAIR_INDEX[p] for p in BASIS_PAIRS])
 
 # The survivor filter applies these permutations first: greedily chosen at
 # n = 12 over all codes, each discards the most of the codes the earlier

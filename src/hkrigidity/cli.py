@@ -36,6 +36,12 @@ from .registry import RegistryFormatError, default_registry, load_path
 # starts.
 MAX_EXPONENT = 40
 
+# Largest number of characters, the sum of n^5 over its exponents, that one
+# rigidity command accepts: twice the work of n = MAX_EXPONENT in either
+# mode.  A range beyond it, such as 2..40 (about 7.3e8 characters), is
+# refused before any work starts.
+MAX_CHARACTERS = 2 * MAX_EXPONENT ** 5
+
 # Largest exponent checks accepts.  It keys all n^5 characters once, in numpy
 # blocks, and its replay proves each distinct problem once.  On a 2-vCPU
 # machine 8..8 takes about 0.45 s (49 MB peak RSS), and n = 16 about 1.4 s in
@@ -47,8 +53,9 @@ MAX_CHECKS_EXPONENT = 8
 # command crosses each pair of the top level's lines once, reads every
 # level's census flags as it passes, and sorts the points of printed levels
 # only: on a 2-vCPU machine level 32 takes about 0.025 s and level 64 about
-# 0.10 s (40 MB peak RSS) in process.  A range also checks the propositions
-# at each printed level, so 0..64 takes about 1.1 s.
+# 0.10 s (40 MB peak RSS) in process.  The propositions are checked once per
+# level along the same walk, so a range costs its top level plus the reports
+# it prints: 0..64 takes about 0.35 s.
 MAX_CB_LEVEL = 64
 
 # Largest exponent invariants accepts.  Each exponent of a range is computed
@@ -158,6 +165,8 @@ def _cmd_rigidity(parser, args) -> int:
     if args.csv and args.json:
         parser.error("--csv and --json are mutually exclusive")
     ns = _resolve_ns(parser, args, MAX_EXPONENT)
+    if sum(n ** 5 for n in ns) > MAX_CHARACTERS:
+        parser.error(f"--n-range sweeps more than {MAX_CHARACTERS} characters")
     if args.jobs < 1:
         parser.error("--jobs must be positive")
     if args.registry is not None:
@@ -295,12 +304,12 @@ def _cmd_cb(parser, args) -> int:
     if args.emit_svg is not None and len(ns) != 1:
         parser.error("--emit-svg needs a single --n")
     # One arrangement grows through levels 0..max(n, 1), crossing each pair
-    # of lines once; every level's census flags are read as it passes, and a
-    # printed level's full report is built at that level.  Propositions need
-    # every level up to max(n, 1), so level 0's report waits for level 1 and
-    # is written out before level 1's is built.
+    # of lines once, and one proposition tracker checks each level as it
+    # passes; a printed level's full report is built at that level.  The
+    # propositions need every level up to max(n, 1), so level 0's report
+    # waits for level 1 and is written out before level 1's is built.
     payloads, texts, picture = [], [], None
-    passed, t0 = True, time.perf_counter()
+    t0 = time.perf_counter()
 
     def emit(report, verification):
         nonlocal t0
@@ -309,17 +318,14 @@ def _cmd_cb(parser, args) -> int:
         payloads.append(reports.cb_payload(report, verification))
         texts.append(reports.cb_text(report, verification))
 
-    waiting = None
+    propositions, waiting = cb._Propositions(), None
     for m, arrangement in cb.walk(max(ns[-1], 1)):
-        passed = passed and arrangement.ok(m)
+        verification = propositions.advance(arrangement)
         if m in ns and args.emit_svg is not None:
             picture = arrangement.svg()
         if m == 0:
             waiting = arrangement.report(0) if 0 in ns else None
             continue
-        if waiting is None and m not in ns:
-            continue
-        verification = cb.verify_propositions(m, census_ok=passed)
         if waiting is not None:
             emit(waiting, verification)
             waiting = None

@@ -185,11 +185,11 @@ def map_pair(t, p):
     return make_pair(t[p[0] - 1], t[p[1] - 1])
 
 
-# LINE_IMAGES[j][k] is the PAIRS index of the image of the line PAIRS[k]
-# under the permutation PERMS[j].  PAIRS is sorted, so index tuples order
-# as the pair tuples they stand for.
-_PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
-LINE_IMAGES: tuple = tuple(tuple(_PAIR_INDEX[map_pair(t, p)] for p in PAIRS)
+# PAIR_INDEX[p] is the index of p in PAIRS.  LINE_IMAGES[j][k] is the PAIRS
+# index of the image of the line PAIRS[k] under the permutation PERMS[j].
+# PAIRS is sorted, so index tuples order as the pair tuples they stand for.
+PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
+LINE_IMAGES: tuple = tuple(tuple(PAIR_INDEX[map_pair(t, p)] for p in PAIRS)
                            for t in PERMS)
 
 

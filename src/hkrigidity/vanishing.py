@@ -36,6 +36,7 @@ from typing import NamedTuple
 from .picard import (
     LINE_CLASSES,
     LINE_IMAGES,
+    PAIR_INDEX,
     PAIRS,
     PERMS,
     DivisorClass,
@@ -117,13 +118,10 @@ def _line_table():
     return _Lines(vectors, tuple(plus), tuple(minus), indices)
 
 
-_PAIR_BIT = {p: k for k, p in enumerate(PAIRS)}
-
-
 def _mask_of(pairs):
     mask = 0
     for p in pairs:
-        mask |= 1 << _PAIR_BIT[p]
+        mask |= 1 << PAIR_INDEX[p]
     return mask
 
 
@@ -375,7 +373,7 @@ def canonical_problem(logset, twist):
     picard.LINE_IMAGES, which order as the sorted pair tuples do; the twist
     image is the lattice matrix of picard.s5_transform, computed only for
     permutations whose pole images do not already lose."""
-    poles = [_PAIR_BIT[p] for p in logset]
+    poles = [PAIR_INDEX[p] for p in logset]
     v = twist.as_tuple()
     best = None
     best_t = None

@@ -5,6 +5,7 @@ deterministic (timings are stderr-only).
 """
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -227,6 +228,8 @@ class TestUsageErrors:
         [
             ["rigidity", "--n", "1000"],
             ["rigidity", "--n-range", f"4..{MAX_EXPONENT + 1}", "--full"],
+            ["rigidity", "--n-range", "2..40"],
+            ["rigidity", "--n-range", "36..40", "--full"],
             ["checks", "--n-range", "4..1000"],
             ["checks", "--n-range", f"4..{MAX_CHECKS_EXPONENT + 1}"],
             ["cb", "--n", str(MAX_CB_LEVEL + 1)],
@@ -248,6 +251,7 @@ class TestUsageErrors:
         monkeypatch.setattr(cb_arrangements, "census", refuse)
         monkeypatch.setattr(cb_arrangements, "walk", refuse)
         monkeypatch.setattr(cb_arrangements, "verify_propositions", refuse)
+        monkeypatch.setattr(cb_arrangements, "_Propositions", refuse)
         monkeypatch.setattr(invariants, "closed_form", refuse)
         monkeypatch.setattr(cli, "closed_form", refuse)
         monkeypatch.setattr(cli, "_rank_exception_sweep", refuse)
@@ -448,6 +452,49 @@ class TestCb:
         code, out = run(capsys, argv)
         assert code == 1
         assert "propositions FAILED" in out
+
+    CHAIN, RECURRENCES = "corner_chain_coordinates", "sequence_recurrences"
+
+    @pytest.mark.parametrize("k,failed", [
+        (2, {0: [RECURRENCES], 1: [RECURRENCES], 2: [CHAIN, RECURRENCES],
+             3: [CHAIN, RECURRENCES], 4: [CHAIN, RECURRENCES],
+             5: [CHAIN, RECURRENCES]}),
+        (5, {0: [], 1: [], 2: [], 3: [], 4: [RECURRENCES],
+             5: [CHAIN, RECURRENCES], 6: [CHAIN, RECURRENCES],
+             7: [CHAIN, RECURRENCES], 8: [CHAIN, RECURRENCES]}),
+    ])
+    def test_wrong_sequence_fails_its_checks_from_its_level(
+            self, capsys, monkeypatch, k, failed):
+        # c(k) off by one: the corner chain fails from level k, and the
+        # recurrences from level k-1, which reads c(k) ahead; level 0 prints
+        # level 1's checks
+        real = cb_arrangements.sequence
+
+        def wrong(m):
+            s = real(m)
+            return dataclasses.replace(s, c=s.c + 1) if m == k else s
+
+        monkeypatch.setattr(cb_arrangements, "sequence", wrong)
+        code, out = run(capsys, ["cb", "--n-range", f"0..{k + 3}", "--json"])
+        assert code == 1
+        assert {p["n"]: [c["name"] for c in p["checks"] if not c["ok"]]
+                for p in json.loads(out)} == failed
+        assert {m: [c.name for c in cb_arrangements.verify_propositions(
+                    max(m, 1)).checks if not c.ok]
+                for m in range(k + 4)} == failed
+
+    def test_range_contracts_the_corner_once_per_level(self, capsys, monkeypatch):
+        calls = []
+        contract = cb_arrangements.contract_point
+
+        def counting(p):
+            calls.append(p)
+            return contract(p)
+
+        monkeypatch.setattr(cb_arrangements, "contract_point", counting)
+        code, _ = run(capsys, ["cb", "--n-range", "0..24"])
+        assert code == 0
+        assert len(calls) <= 26
 
     def test_walk_holds_one_census_at_a_time(self, capsys, monkeypatch):
         # full reports are built for printed levels only, and none is alive
