@@ -250,11 +250,11 @@ def s5_act(t, psi):
 # Rows of residue codes swept at once by the array paths below.
 CHUNK = 1 << 15
 
-# Candidate codes per block of survivor_blocks.  About a fifth of the codes
-# of kept prefixes outlive FILTER_PREFIX at n = 40, against 1.2% of all
-# codes, so the 112-column image matrix of a block is far larger than for a
-# block of all codes; at this size rigidity --n 40 peaks lower than a
-# CHUNK-sized sweep of all codes did.
+# Candidate codes per block of survivor_blocks, whole kept prefixes of n^2
+# <= 1600 codes each.  About a fifth of them outlive FILTER_PREFIX at n = 40,
+# against 1.2% of all codes, so the 113-column image matrix of a block is
+# far larger than for a block of all codes; at this size rigidity --n 40
+# peaks lower than a CHUNK-sized sweep of all codes did.
 SURVIVOR_CHUNK = 1 << 13
 
 # picard.LINE_IMAGES as an array, and the PAIRS indices of the basis lines.
@@ -263,11 +263,12 @@ _BASIS_INDICES = np.array([PAIR_INDEX[p] for p in BASIS_PAIRS])
 
 # The survivor filter applies these permutations first: greedily chosen at
 # n = 12 over all codes, each discards the most of the codes the earlier
-# ones kept, and together they leave about 1.2% of all codes.  The rest
-# follow in PERMS order.  Any order leaves the same survivors.
-FILTER_PREFIX = ((2, 3, 5, 4, 1), (4, 5, 2, 1, 3), (1, 2, 5, 4, 3),
-                 (1, 3, 2, 4, 5), (4, 3, 5, 1, 2), (4, 2, 3, 1, 5),
-                 (3, 2, 1, 5, 4), (2, 1, 3, 4, 5))
+# ones kept.  The first chosen, (2, 3, 5, 4, 1), fixes index 4 and kept
+# 177,620 of 178,400 kept-prefix codes at n = 20, so it is left out.  The
+# rest follow in PERMS order.  Any order leaves the same survivors.
+FILTER_PREFIX = ((4, 5, 2, 1, 3), (1, 2, 5, 4, 3), (1, 3, 2, 4, 5),
+                 (4, 3, 5, 1, 2), (4, 2, 3, 1, 5), (3, 2, 1, 5, 4),
+                 (2, 1, 3, 4, 5))
 
 
 def _powers(n):
@@ -289,13 +290,13 @@ def _loops(digits, n):
     return loops
 
 
-def code_blocks(n, chunk=CHUNK):
+def code_blocks(n):
     """Every character of (Z/n)^5 once, as (codes, digits, weights) arrays
-    of at most chunk rows each, in ascending order of the code.  Every
+    of at most CHUNK rows each, in ascending order of the code.  Every
     weight is 1."""
     total = n ** 5
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, CHUNK):
+        codes = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
         yield codes, _digits(codes, n), np.ones(len(codes), dtype=np.int64)
 
 
@@ -331,35 +332,24 @@ def kept_prefixes(n):
     return prefixes[(images >= prefixes[:, None]).all(axis=1)]
 
 
-def _candidate_blocks(n, chunk):
-    """The codes of kept_prefixes(n), ascending, in blocks of at most chunk
-    codes, built a few prefixes at a time."""
-    span = n ** 2
-    prefixes = kept_prefixes(n)
-    step = max(1, chunk // span)
-    for start in range(0, len(prefixes), step):
-        codes = (prefixes[start:start + step, None] * span
-                 + np.arange(span, dtype=np.int64)).ravel()
-        for piece in range(0, len(codes), chunk):
-            yield codes[piece:piece + chunk]
-
-
 def survivor_blocks(n, chunk=SURVIVOR_CHUNK):
     """One lexicographically least representative per symmetry orbit, as
-    (codes, digits, orbit sizes) arrays, one block per chunk of candidate
-    codes.
+    (codes, digits, orbit sizes) arrays, ascending, in blocks of the codes
+    of chunk // n^2 kept prefixes (of one where chunk < n^2).
 
-    The candidates are the codes of kept_prefixes(n), in ascending order:
-    a permutation fixing index 4 maps the first three digits onto digits
-    read off the first three alone, so where it lowers a prefix, no code
-    of that prefix is its orbit's least.  The image of a character under a
-    permutation has five of the character's ten loop values as its digits,
-    so each image code is the loop values weighted by powers of n.  Each
-    block of candidates meets the permutations in turn, and after each one
-    only the codes whose image is not smaller survive; the FILTER_PREFIX
-    ones run one at a time and the other 112 at once on their survivors.
-    What remains is each orbit's least element, and its orbit size is 120
-    over the number of permutations fixing it.  Orbit sizes sum to n^5.
+    The candidates are the codes of kept_prefixes(n): a permutation fixing
+    index 4 maps the first three digits onto digits read off the first
+    three alone, so where it lowers a prefix, no code of that prefix is its
+    orbit's least.  Loops are linear in the digits, so the loops of p + s,
+    for p a kept prefix times n^2 and s < n^2, are those of p plus those of
+    s, mod n.  The image of a character under a permutation has five of
+    its ten loop values as its digits, so each image code is the loop
+    values weighted by powers of n.  Each block of candidates meets the
+    permutations in turn, and after each one only the codes whose image is
+    not smaller survive; the FILTER_PREFIX ones run one at a time and the
+    other 113 at once on their survivors.  What remains is each orbit's
+    least element, whose digits are its basis loops, and its orbit size is
+    120 over the number of permutations fixing it.  Orbit sizes sum to n^5.
     """
     if n < 2:
         raise ValueError("modulus must be at least 2")
@@ -367,8 +357,16 @@ def survivor_blocks(n, chunk=SURVIVOR_CHUNK):
              + [j for j, t in enumerate(PERMS) if t not in FILTER_PREFIX])
     weights = _image_weights(n, order)
     head = len(FILTER_PREFIX)
-    for codes in _candidate_blocks(n, chunk):
-        loops = _loops(_digits(codes, n), n)
+    prefixes = kept_prefixes(n) * n ** 2
+    suffixes = np.arange(n ** 2, dtype=np.int64)
+    prefix_loops = _loops(_digits(prefixes, n), n)
+    suffix_loops = _loops(_digits(suffixes, n), n)
+    step = max(1, chunk // n ** 2)
+    for start in range(0, len(prefixes), step):
+        codes = (prefixes[start:start + step, None] + suffixes).ravel()
+        loops = (prefix_loops[start:start + step, None]
+                 + suffix_loops).reshape(-1, len(PAIRS))
+        loops %= n
         fixed = np.zeros(len(codes), dtype=np.int64)
         for w in weights[:, :head].T:
             image = loops @ w
@@ -378,8 +376,8 @@ def survivor_blocks(n, chunk=SURVIVOR_CHUNK):
         images = loops @ weights[:, head:]
         keep = (images >= codes[:, None]).all(axis=1)
         fixed += (images == codes[:, None]).sum(axis=1)
-        codes, fixed = codes[keep], fixed[keep]
-        yield codes, _digits(codes, n), len(order) // fixed
+        codes, loops, fixed = codes[keep], loops[keep], fixed[keep]
+        yield codes, loops[:, _BASIS_INDICES], len(order) // fixed
 
 
 def orbit_representatives(n, chunk=SURVIVOR_CHUNK):

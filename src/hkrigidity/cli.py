@@ -31,7 +31,7 @@ from .registry import RegistryFormatError, default_registry, load_path
 # filter in orbit mode (it reads the codes of about one 3-digit prefix in
 # twenty) and for the problem keys of every character with --full; both
 # sweep fixed-size blocks of characters, so the peak RSS stays below 80 MB.
-# On a 2-vCPU machine n = 40 takes about 3.2 s in orbit mode (55 MB peak
+# On a 2-vCPU machine n = 40 takes about 2.6 s in orbit mode (53 MB peak
 # RSS) and 52 s with --full, so a larger n is refused before any work
 # starts.
 MAX_EXPONENT = 40

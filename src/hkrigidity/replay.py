@@ -200,7 +200,7 @@ def _replay_gvt(problem, cert):
         if hits > 0:
             correction += hits - 1
     bound = problem.blowups + 1 - len(bset) + correction
-    if matrix_rank(orthogonal) < bound:
-        return _fail(f"criterion condition 4 fails: rank {matrix_rank(orthogonal)}"
-                     f" below {bound}")
+    rank = matrix_rank(orthogonal)
+    if rank < bound:
+        return _fail(f"criterion condition 4 fails: rank {rank} below {bound}")
     return ReplayResult(True)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from itertools import product
@@ -10,6 +11,7 @@ from hkrigidity.characters import (
     CASE_TRIVIAL,
     FILTER_PREFIX,
     LOOP_FORMS,
+    SURVIVOR_CHUNK,
     Character,
     InternalInconsistencyError,
     char_matrix,
@@ -20,6 +22,7 @@ from hkrigidity.characters import (
     orbit_representatives,
     rank_exception_classify,
     s5_act,
+    survivor_blocks,
 )
 from hkrigidity.picard import (
     CANONICAL,
@@ -295,7 +298,7 @@ def test_burnside_formula_beyond_enumeration():
 def test_filter_prefix_holds_distinct_permutations():
     # the order of the survivor filter; the representatives it leaves are
     # pinned by test_orbit_count and brute-forced by test_orbit_representatives
-    assert len(set(FILTER_PREFIX)) == len(FILTER_PREFIX) == 8
+    assert len(set(FILTER_PREFIX)) == len(FILTER_PREFIX) == 7
     assert set(FILTER_PREFIX) <= set(PERMS)
 
 
@@ -331,10 +334,31 @@ def test_kept_prefix_counts(n, count):
 
 
 def test_orbit_representatives_independent_of_chunk():
-    # chunk=7 is below n^2 = 25, so one prefix's codes span several blocks
-    reps = orbit_representatives(5)
-    assert orbit_representatives(5, chunk=7) == reps
-    assert orbit_representatives(5, chunk=1000) == reps
+    # a block holds chunk // n^2 whole kept prefixes, or one prefix where
+    # the chunk is below n^2; the last block is partial where that count
+    # does not divide the kept prefixes
+    for n in (5, 7):
+        reps = orbit_representatives(n)
+        for chunk in (1, n * n - 1, n * n, 3 * n * n + 1, SURVIVOR_CHUNK):
+            assert orbit_representatives(n, chunk=chunk) == reps
+
+
+# sha256 of the int64 survivor codes, then digits, then orbit sizes of
+# survivor_blocks(n), each concatenated over the blocks
+SURVIVOR_DIGESTS = {
+    12: "8be1f223e2f35df32cc5519948fb573f118a5667252994849f5ffcb7606c595b",
+    17: "9de130b1afae20f267df1ab4e7a4b6859733b5955d99e28db63a7113565e4cf8",
+    20: "8f6edd09d3386080962fe86ba6e3a29e8873c29282472ce7f8cf45d8a9cd8336",
+    23: "5a70b781e24e45f559552b5e5df383a5ec4c04dc0f3bfd1141bc59f2e53b60ff",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SURVIVOR_DIGESTS))
+def test_survivor_blocks_pinned(n):
+    h = hashlib.sha256()
+    for part in zip(*survivor_blocks(n)):
+        h.update(np.concatenate(part).astype(np.int64).tobytes())
+    assert h.hexdigest() == SURVIVOR_DIGESTS[n]
 
 
 def test_rank_exception_claw_n5():
