@@ -156,7 +156,7 @@ class CensusReport:
 
     n: int
     line_count: int
-    points: tuple  # (coords, valency), sorted by coords
+    points: tuple  # (coords, valency), in the order the pairs first cross
     tally: dict  # valency -> number of points
     pair_identity_ok: bool
     formula_ok: bool
@@ -235,13 +235,13 @@ class _Arrangement:
         return self.pair_identity_ok and self._tally() == expected_tally(m)
 
     def report(self, m: int) -> CensusReport:
-        """The full census of these lines read as level m, points sorted."""
+        """The full census of these lines read as level m."""
         tally = self._tally()
         return CensusReport(
             n=m,
             line_count=len(self.lines),
-            points=tuple(sorted((p, len(members))
-                                for p, members in self.through.items())),
+            points=tuple((p, len(members))
+                         for p, members in self.through.items()),
             tally=tally,
             pair_identity_ok=self.pair_identity_ok,
             formula_ok=tally == expected_tally(m),

@@ -247,15 +247,9 @@ def s5_act(t, psi):
     return Character(psi.n, a)
 
 
-# Rows of residue codes swept at once by the array paths below.
-CHUNK = 1 << 15
-
-# Candidate codes per block of survivor_blocks, whole kept prefixes of n^2
-# <= 1600 codes each.  About a fifth of them outlive FILTER_PREFIX at n = 40,
-# against 1.2% of all codes, so the 113-column image matrix of a block is
-# far larger than for a block of all codes; at this size rigidity --n 40
-# peaks lower than a CHUNK-sized sweep of all codes did.
-SURVIVOR_CHUNK = 1 << 13
+# Rows of residue codes swept at once: all codes in code_blocks, and the
+# candidate codes of survivor_blocks, whole kept prefixes of n^2 <= 1600 each.
+CHUNK = 1 << 13
 
 # picard.LINE_IMAGES as an array, and the PAIRS indices of the basis lines.
 _LINE_IMAGES = np.array(LINE_IMAGES, dtype=np.int64)
@@ -263,9 +257,12 @@ _BASIS_INDICES = np.array([PAIR_INDEX[p] for p in BASIS_PAIRS])
 
 # The survivor filter applies these permutations first: greedily chosen at
 # n = 12 over all codes, each discards the most of the codes the earlier
-# ones kept.  The first chosen, (2, 3, 5, 4, 1), fixes index 4 and kept
-# 177,620 of 178,400 kept-prefix codes at n = 20, so it is left out.  The
-# rest follow in PERMS order.  Any order leaves the same survivors.
+# ones kept.  The first chosen, (2, 3, 5, 4, 1), fixes index 4 and is left
+# out, as no such permutation lowers a kept prefix.  Three that remain fix
+# index 4, the transpositions (1 2), (2 3) and (3 5): each swaps two adjacent
+# entries of a kept prefix's sorted loops through index 4, so it discards
+# only codes whose prefix has a tie.  The rest follow in PERMS order.  Any
+# order leaves the same survivors.
 FILTER_PREFIX = ((4, 5, 2, 1, 3), (1, 2, 5, 4, 3), (1, 3, 2, 4, 5),
                  (4, 3, 5, 1, 2), (4, 2, 3, 1, 5), (3, 2, 1, 5, 4),
                  (2, 1, 3, 4, 5))
@@ -311,40 +308,33 @@ def _image_weights(n, columns):
 
 
 def kept_prefixes(n):
-    """The 3-digit code prefixes, ascending, that no permutation fixing
-    index 4 lowers; the codes of all other prefixes are no orbit's least.
+    """The 3-digit code prefixes (a1, a2, a3), ascending, with
+    a1 <= a2 <= a3 <= -(a1+a2+a3) mod n; no code of another prefix is its
+    orbit's least.
 
-    A permutation t with t(4) = 4 maps the lines (1,4), (2,4), (3,4) of
-    the first three digits onto lines among (1,4), (2,4), (3,4), (4,5),
-    whose loop values are a1, a2, a3 and -(a1+a2+a3) mod n.  So the first
-    three digits of an image code depend on the first three digits of the
-    code alone, and when such a t lowers a prefix it lowers each of the
-    prefix's n^2 codes.
-
-    The loops here are read off the codes prefix * n^2, whose last two
-    digits are 0; those four loops are exact, and the image prefix weights
-    (the code weights over n^2) read no other.
+    The permutations fixing index 4 permute the lines (1,4), (2,4), (3,4),
+    (4,5) through it in every order, and these carry the loop values a1,
+    a2, a3 and -(a1+a2+a3) mod n.  So the first three digits of the images
+    of a code under them are every ordered choice of three of these four
+    loops, which depend on the prefix alone, and the least is the three
+    smallest, ascending.  A prefix that is not that least is lowered by one
+    of these permutations, and so is each of its n^2 codes.
     """
-    fixing = [j for j, t in enumerate(PERMS) if t[3] == 4]
-    prefixes = np.arange(n ** 3, dtype=np.int64)
-    loops = _loops(_digits(prefixes * n ** 2, n), n)
-    images = loops @ (_image_weights(n, fixing) // n ** 2)
-    return prefixes[(images >= prefixes[:, None]).all(axis=1)]
+    a1, a2, a3 = _digits(np.arange(n ** 3, dtype=np.int64), n)[:, 2:].T
+    return np.flatnonzero((a1 <= a2) & (a2 <= a3) & (a3 <= -(a1 + a2 + a3) % n))
 
 
-def survivor_blocks(n, chunk=SURVIVOR_CHUNK):
+def survivor_blocks(n, chunk=CHUNK):
     """One lexicographically least representative per symmetry orbit, as
     (codes, digits, orbit sizes) arrays, ascending, in blocks of the codes
     of chunk // n^2 kept prefixes (of one where chunk < n^2).
 
-    The candidates are the codes of kept_prefixes(n): a permutation fixing
-    index 4 maps the first three digits onto digits read off the first
-    three alone, so where it lowers a prefix, no code of that prefix is its
-    orbit's least.  Loops are linear in the digits, so the loops of p + s,
-    for p a kept prefix times n^2 and s < n^2, are those of p plus those of
-    s, mod n.  The image of a character under a permutation has five of
-    its ten loop values as its digits, so each image code is the loop
-    values weighted by powers of n.  Each block of candidates meets the
+    The candidates are the codes of kept_prefixes(n), which hold every
+    orbit's least code.  Loops are linear in the digits, so the loops of
+    p + s, for p a kept prefix times n^2 and s < n^2, are those of p plus
+    those of s, mod n.  The image of a character under a permutation has
+    five of its ten loop values as its digits, so each image code is the
+    loop values weighted by powers of n.  Each block of candidates meets the
     permutations in turn, and after each one only the codes whose image is
     not smaller survive; the FILTER_PREFIX ones run one at a time and the
     other 113 at once on their survivors.  What remains is each orbit's
@@ -380,7 +370,7 @@ def survivor_blocks(n, chunk=SURVIVOR_CHUNK):
         yield codes, loops[:, _BASIS_INDICES], len(order) // fixed
 
 
-def orbit_representatives(n, chunk=SURVIVOR_CHUNK):
+def orbit_representatives(n, chunk=CHUNK):
     """[(Character, orbit size)] of survivor_blocks, sorted by
     representative."""
     return [(Character(n, tuple(a)), size)

@@ -31,9 +31,9 @@ from .registry import RegistryFormatError, default_registry, load_path
 # filter in orbit mode (it reads the codes of about one 3-digit prefix in
 # twenty) and for the problem keys of every character with --full; both
 # sweep fixed-size blocks of characters, so the peak RSS stays below 80 MB.
-# On a 2-vCPU machine n = 40 takes about 2.6 s in orbit mode (53 MB peak
-# RSS) and 52 s with --full, so a larger n is refused before any work
-# starts.
+# On a 2-vCPU machine n = 40 takes about 2.7 s in orbit mode (53 MB peak
+# RSS) and 60 s with --full (40 MB), so a larger n is refused before any
+# work starts.
 MAX_EXPONENT = 40
 
 # Largest number of characters, the sum of n^5 over its exponents, that one
@@ -51,11 +51,11 @@ MAX_CHECKS_EXPONENT = 8
 
 # Largest level cb accepts.  One arrangement grows through the levels, so a
 # command crosses each pair of the top level's lines once, reads every
-# level's census flags as it passes, and sorts the points of printed levels
-# only: on a 2-vCPU machine level 32 takes about 0.025 s and level 64 about
-# 0.10 s (40 MB peak RSS) in process.  The propositions are checked once per
+# level's census flags as it passes, and builds the reports of printed levels
+# only: on a 2-vCPU machine level 32 takes about 0.02 s and level 64 about
+# 0.08 s (40 MB peak RSS) in process.  The propositions are checked once per
 # level along the same walk, so a range costs its top level plus the reports
-# it prints: 0..64 takes about 0.35 s.
+# it prints: 0..64 takes about 0.15 s.
 MAX_CB_LEVEL = 64
 
 # Largest exponent invariants accepts.  Each exponent of a range is computed

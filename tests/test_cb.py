@@ -188,7 +188,7 @@ def without_gcd_division(v):
 class TestCensusFaults:
     @pytest.mark.parametrize("n", list(range(0, 21)))
     def test_points_match_all_lines_scan(self, n):
-        assert census(n).points == scanned_points(n)
+        assert tuple(sorted(census(n).points)) == scanned_points(n)
 
     @pytest.mark.parametrize("fault", [without_sign_flip, without_gcd_division])
     @pytest.mark.parametrize("n", list(range(1, 9)))
@@ -228,7 +228,7 @@ class TestWalk:
         for m, arrangement in walk(20):
             report = arrangement.report(m)
             assert report == census(m)
-            assert report.points == scanned_points(m)
+            assert tuple(sorted(report.points)) == scanned_points(m)
 
     @pytest.mark.parametrize("fault", [without_sign_flip, without_gcd_division])
     def test_inconsistent_normalize_fails_every_level_from_the_first(

@@ -1,7 +1,7 @@
 import hashlib
 import random
 import re
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -9,9 +9,9 @@ import pytest
 from hkrigidity import characters
 from hkrigidity.characters import (
     CASE_TRIVIAL,
+    CHUNK,
     FILTER_PREFIX,
     LOOP_FORMS,
-    SURVIVOR_CHUNK,
     Character,
     InternalInconsistencyError,
     char_matrix,
@@ -300,6 +300,10 @@ def test_filter_prefix_holds_distinct_permutations():
     # pinned by test_orbit_count and brute-forced by test_orbit_representatives
     assert len(set(FILTER_PREFIX)) == len(FILTER_PREFIX) == 7
     assert set(FILTER_PREFIX) <= set(PERMS)
+    # those fixing index 4 are the transpositions (1 2), (2 3) and (3 5),
+    # which swap adjacent entries of a kept prefix's sorted loops through 4
+    assert {t for t in FILTER_PREFIX if t[3] == 4} == {
+        (2, 1, 3, 4, 5), (1, 3, 2, 4, 5), (1, 2, 5, 4, 3)}
 
 
 def orbit_least_codes(n):
@@ -328,6 +332,27 @@ def test_prefix_pruning_drops_some_prefix_at_every_exponent_from_3():
         assert kept.tolist() == sorted(set(kept.tolist()))
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_kept_prefixes_match_their_definition(n):
+    # brute force: no permutation fixing index 4 lowers the first three
+    # digits of the character (a1, a2, a3, 0, 0) of a kept prefix
+    fixing = [t for t in PERMS if t[3] == 4]
+    kept = [(a[0] * n + a[1]) * n + a[2]
+            for a in product(range(n), repeat=3)
+            if all(s5_act(t, Character(n, a + (0, 0))).a[:3] >= a
+                   for t in fixing)]
+    assert kept_prefixes(n).tolist() == kept
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_kept_prefixes_count_zero_sum_multisets(n):
+    # a kept prefix and its fourth loop -(a1+a2+a3) are one 4-element
+    # multiset of Z/n with sum 0, sorted, and each such multiset sorts once
+    multisets = sum(1 for m in combinations_with_replacement(range(n), 4)
+                    if sum(m) % n == 0)
+    assert len(kept_prefixes(n)) == multisets
+
+
 @pytest.mark.parametrize("n,count", [(10, 73), (20, 446), (30, 1368), (40, 3091)])
 def test_kept_prefix_counts(n, count):
     assert len(kept_prefixes(n)) == count
@@ -339,7 +364,7 @@ def test_orbit_representatives_independent_of_chunk():
     # does not divide the kept prefixes
     for n in (5, 7):
         reps = orbit_representatives(n)
-        for chunk in (1, n * n - 1, n * n, 3 * n * n + 1, SURVIVOR_CHUNK):
+        for chunk in (1, n * n - 1, n * n, 3 * n * n + 1, CHUNK):
             assert orbit_representatives(n, chunk=chunk) == reps
 
 

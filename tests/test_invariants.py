@@ -106,8 +106,8 @@ class TestProblemHistogram:
         # problems come in order of their least character
         assert list(got) == sorted(expected, key=lambda prob: expected[prob][1])
 
-    # n = 9 is the first exponent whose full mode folds several blocks
-    # (8^5 = CHUNK characters fill one)
+    # n = 7 is the first exponent whose full mode folds several blocks
+    # (7^5 > CHUNK = 8192 >= 6^5)
     @pytest.mark.parametrize("n", range(2, 10))
     def test_matches_brute_force_count(self, n):
         self.check_against_problem_of(
